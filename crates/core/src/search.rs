@@ -1,7 +1,7 @@
 use crate::{Platform, SearchReport};
 use crispr_engines::{
     BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
-    EngineError, NfaEngine, ParallelEngine, ScalarEngine, SearchError,
+    EngineError, NfaEngine, ParallelEngine, ScalarEngine, ScanSource, SearchError,
 };
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::Genome;
@@ -57,7 +57,8 @@ impl OffTargetSearch {
     /// Starts a search over an opened on-disk index. Single-threaded CPU
     /// platforms scan the index's packed payloads directly (optionally in
     /// bounded-memory shards, see [`OffTargetSearch::shard`]); threaded
-    /// runs and the modeled accelerators materialize the genome once,
+    /// runs copy the packed payloads out once and fan packed chunks out,
+    /// and the modeled accelerators unpack the genome once — either cost
     /// charged to `genome_load_s`. Hit sets are identical to
     /// [`OffTargetSearch::new`] on the genome the index was built from.
     pub fn from_index(index: Arc<GenomeIndex>) -> OffTargetSearch {
@@ -295,14 +296,22 @@ impl OffTargetSearch {
     ) -> Result<(Vec<Hit>, SearchMetrics, Option<PartialOutcome>), EngineError> {
         let mut metrics = SearchMetrics::default();
         if self.threads > 1 {
-            // The parallel deployment fans borrowed byte-per-base chunks
-            // out to workers, so an indexed run materializes the genome
-            // first (the unpack is charged to genome_load_s).
-            let (genome, unpack_s) = self.materialized()?;
-            metrics.phases.genome_load_s += unpack_s;
+            let packed;
+            let source = match &self.source {
+                GenomeSource::Direct(genome) => ScanSource::Bases(genome),
+                GenomeSource::Index(index) => {
+                    // Workers scan packed chunks: the index's payloads are
+                    // copied out once (charged to genome_load_s), never
+                    // unpacked.
+                    let copy_start = Instant::now();
+                    packed = index.to_packed();
+                    metrics.phases.genome_load_s += copy_start.elapsed().as_secs_f64();
+                    ScanSource::Packed(&packed)
+                }
+            };
             let result = ParallelEngine::new(engine, self.threads)
                 .with_retry_limit(self.chunk_retries)
-                .search_cancellable(&genome, &self.guides, self.k, &self.cancel, &mut metrics);
+                .search_source(source, &self.guides, self.k, &self.cancel, &mut metrics);
             match result {
                 Ok(hits) => Ok((hits, metrics, None)),
                 Err(SearchError::Partial { failures, chunks_total, hits }) => {
@@ -340,8 +349,9 @@ impl OffTargetSearch {
         }
     }
 
-    /// A byte-per-base view of the source: borrowed for the direct path,
-    /// unpacked from the index otherwise (with the seconds that took).
+    /// A byte-per-base view of the source for the modeled platforms:
+    /// borrowed for the direct path, unpacked from the index otherwise
+    /// (with the seconds that took).
     fn materialized(&self) -> Result<(Cow<'_, Genome>, f64), EngineError> {
         match &self.source {
             GenomeSource::Direct(genome) => Ok((Cow::Borrowed(genome), 0.0)),

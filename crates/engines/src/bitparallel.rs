@@ -269,10 +269,7 @@ impl PreparedSearch for BitParallelPrepared {
             anchored.scan_packed(packed, masks, self.k, out, m);
             return Ok(());
         }
-        let load_start = Instant::now();
-        let bases = packed.unpack();
-        m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-        self.scan_slice(bases.as_slice(), out, m)
+        crate::engine::scan_unpacked(self, packed, out, m)
     }
 
     fn record_gauges(&self, m: &mut SearchMetrics) {

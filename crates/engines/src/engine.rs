@@ -44,8 +44,8 @@ pub trait PreparedSearch: Send + Sync {
     /// delegates to `scan_slice`, so every engine accepts indexed input
     /// with identical hits, counters, and gauges by construction.
     /// Engines whose kernels consume the packed form directly override
-    /// this to skip the unpack/repack round trip (see the anchored
-    /// prefilter deployment).
+    /// this to skip the unpack/repack round trip (the anchored prefilter
+    /// deployment and the batched seed automaton).
     ///
     /// # Errors
     ///
@@ -58,16 +58,28 @@ pub trait PreparedSearch: Send + Sync {
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
         let _ = masks;
-        let load_start = Instant::now();
-        let bases = packed.unpack();
-        m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-        self.scan_slice(bases.as_slice(), out, m)
+        scan_unpacked(self, packed, out, m)
     }
 
     /// Records compile-time gauges (automaton state counts, seed counts,
     /// anchor rates) into `m`. Called once per metered search, not per
     /// slice.
     fn record_gauges(&self, _m: &mut SearchMetrics) {}
+}
+
+/// The unpack-and-delegate path of [`PreparedSearch::scan_packed`], for
+/// kernels that read byte-per-base symbols: the unpack is charged to
+/// `genome_load_s`, the scan to whatever `scan_slice` charges.
+pub(crate) fn scan_unpacked<P: PreparedSearch + ?Sized>(
+    prepared: &P,
+    packed: &PackedSeq,
+    out: &mut Vec<Hit>,
+    m: &mut SearchMetrics,
+) -> Result<(), EngineError> {
+    let load_start = Instant::now();
+    let bases = packed.unpack();
+    m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
+    prepared.scan_slice(bases.as_slice(), out, m)
 }
 
 /// A complete off-target search: genome × guides × mismatch budget →
@@ -148,7 +160,7 @@ pub trait Engine {
         // Fault fires are metered as a delta over the whole search so
         // prepare-time degradations count too. (The parallel deployment
         // overrides this method and meters its own delta.)
-        let faults_before = crispr_failpoint::fired_total();
+        let faults = crispr_failpoint::FireMark::now();
         metrics.engine = self.name().to_string();
         let compile_start = Instant::now();
         let prepared = {
@@ -158,7 +170,7 @@ pub trait Engine {
         metrics.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
         prepared.record_gauges(metrics);
         let result = scan_genome_cancellable(prepared.as_ref(), genome, cancel, metrics);
-        metrics.counters.faults_injected += crispr_failpoint::fired_total() - faults_before;
+        metrics.counters.faults_injected += faults.fired_since();
         result
     }
 
@@ -199,7 +211,7 @@ pub trait Engine {
         cancel: &CancelToken,
         metrics: &mut SearchMetrics,
     ) -> Result<Vec<Hit>, EngineError> {
-        let faults_before = crispr_failpoint::fired_total();
+        let faults = crispr_failpoint::FireMark::now();
         metrics.engine = self.name().to_string();
         let compile_start = Instant::now();
         let prepared = {
@@ -210,7 +222,7 @@ pub trait Engine {
         prepared.record_gauges(metrics);
         let result =
             scan_genome_indexed_cancellable(prepared.as_ref(), index, shard_len, cancel, metrics);
-        metrics.counters.faults_injected += crispr_failpoint::fired_total() - faults_before;
+        metrics.counters.faults_injected += faults.fired_since();
         result
     }
 }

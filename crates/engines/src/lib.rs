@@ -75,6 +75,8 @@ pub use myers::{IndelEngine, MyersMatcher};
 pub use naive::CasOffinderCpuEngine;
 pub use nfa::{reports_to_hits, NfaEngine};
 pub use offdfa::DfaEngine;
-pub use parallel::{scan_prepared, ParallelEngine, ScanDeployment, DEFAULT_CHUNK_RETRIES};
+pub use parallel::{
+    scan_prepared, ParallelEngine, ScanDeployment, ScanSource, DEFAULT_CHUNK_RETRIES,
+};
 pub use pigeonhole::PigeonholeEngine;
 pub use simd::SimdBackend;

@@ -44,7 +44,7 @@ use crate::prefilter::PackedPattern;
 use crate::simd::{self, SimdBackend};
 use crate::EngineError;
 use crispr_genome::kmer::{pack_qgram, QGramRoller};
-use crispr_genome::pamindex::CandidateMask;
+use crispr_genome::pamindex::{BaseMasks, CandidateMask};
 use crispr_genome::{Base, PackedSeq};
 use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
@@ -396,18 +396,46 @@ impl MultiSeedScan {
         let load_start = Instant::now();
         let packed = PackedSeq::from_bases(seq);
         m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
+        self.scan_cascade(&packed, None, out, m);
+    }
 
+    /// [`MultiSeedScan::scan_slice`] on a slice already in index form: no
+    /// packing pass, and the anchor intersection reads the stored base
+    /// bitmaps. Hits and counter events are identical to `scan_slice` on
+    /// the unpacked content.
+    pub(crate) fn scan_packed(
+        &self,
+        packed: &PackedSeq,
+        masks: &BaseMasks,
+        out: &mut Vec<Hit>,
+        m: &mut SearchMetrics,
+    ) {
+        if packed.len() < self.site_len {
+            return;
+        }
+        self.scan_cascade(packed, Some(masks), out, m);
+    }
+
+    /// The cascade over one packed slice; the anchor pass reads `stored`
+    /// bitmaps when given and derives them from `packed` otherwise.
+    fn scan_cascade(
+        &self,
+        packed: &PackedSeq,
+        stored: Option<&BaseMasks>,
+        out: &mut Vec<Hit>,
+        m: &mut SearchMetrics,
+    ) {
         let scan_start = Instant::now();
-        m.counters.windows_scanned += (seq.len() + 1 - self.site_len) as u64;
+        m.counters.windows_scanned += (packed.len() + 1 - self.site_len) as u64;
+        let scalar = self.backend == SimdBackend::Scalar;
         let masks: Vec<CandidateMask> = self
             .groups
             .iter()
-            .map(|(scanner, _)| {
-                if self.backend == SimdBackend::Scalar {
-                    scanner.candidates(&packed, self.site_len)
-                } else {
-                    scanner.candidates_blocked(&packed, self.site_len)
-                }
+            .map(|(scanner, _)| match (stored, scalar) {
+                (None, true) => scanner.candidates(packed, self.site_len),
+                (None, false) => scanner.candidates_blocked(packed, self.site_len),
+                (Some(bits), true) => scanner.candidates_from(bits, self.site_len),
+                (Some(bits), false) => scanner.candidates_from_blocked(bits, self.site_len),
             })
             .collect();
         // Per-pattern streaming dedup: without it, a site matching two of
@@ -420,9 +448,9 @@ impl MultiSeedScan {
         let screened = self.backend != SimdBackend::Scalar
             && self.tables.iter().all(|t| matches!(t.lookup, SeedLookup::Direct(_)));
         if screened {
-            self.scan_screened(seq, &packed, &masks, &mut seen, &mut any_seen, &mut tallies, out);
+            self.scan_screened(packed, &masks, &mut seen, &mut any_seen, &mut tallies, out);
         } else {
-            self.scan_rolling(seq, &packed, &masks, &mut seen, &mut any_seen, &mut tallies, out);
+            self.scan_rolling(packed, &masks, &mut seen, &mut any_seen, &mut tallies, out);
         }
         m.counters.multiseed_candidates += tallies.candidates;
         m.counters.multiseed_positions += tallies.positions;
@@ -433,11 +461,10 @@ impl MultiSeedScan {
     }
 
     /// The original scalar seed loop: one rolling register per table, one
-    /// table probe per symbol per table.
-    #[allow(clippy::too_many_arguments)]
+    /// table probe per symbol per table, symbols read a packed word at a
+    /// time.
     fn scan_rolling(
         &self,
-        seq: &[Base],
         packed: &PackedSeq,
         masks: &[CandidateMask],
         seen: &mut [RecentWindows],
@@ -447,15 +474,21 @@ impl MultiSeedScan {
     ) {
         let mut rollers: Vec<QGramRoller> =
             self.tables.iter().map(|t| QGramRoller::new(t.len)).collect();
-        for (end, &base) in seq.iter().enumerate() {
-            for (table, roller) in self.tables.iter().zip(&mut rollers) {
-                let code = roller.push(base);
-                if end + 1 < table.len {
-                    continue;
+        for (wi, &word) in packed.words().iter().enumerate() {
+            let first = wi * 32;
+            let mut lanes = word;
+            for end in first..(first + 32).min(packed.len()) {
+                let base = Base::from_code(lanes as u8);
+                lanes >>= 2;
+                for (table, roller) in self.tables.iter().zip(&mut rollers) {
+                    let code = roller.push(base);
+                    if end + 1 < table.len {
+                        continue;
+                    }
+                    self.visit_entries(
+                        table, code, end, packed, masks, seen, any_seen, tallies, out,
+                    );
                 }
-                self.visit_entries(
-                    table, code, end, seq, packed, masks, seen, any_seen, tallies, out,
-                );
             }
         }
     }
@@ -471,10 +504,8 @@ impl MultiSeedScan {
     /// and skipped visits are precisely those with an empty entry range,
     /// which touch no state in the scalar loop either. On random DNA at
     /// seed length 5, ~5 of 6 positions never reach the walk.
-    #[allow(clippy::too_many_arguments)]
     fn scan_screened(
         &self,
-        seq: &[Base],
         packed: &PackedSeq,
         masks: &[CandidateMask],
         seen: &mut [RecentWindows],
@@ -482,15 +513,16 @@ impl MultiSeedScan {
         tallies: &mut ScanTallies,
         out: &mut Vec<Hit>,
     ) {
-        let mut merged = vec![0u64; seq.len().div_ceil(64)];
+        let len = packed.len();
+        let mut merged = vec![0u64; len.div_ceil(64)];
         let mut fires: Vec<Vec<u64>> = Vec::with_capacity(self.tables.len());
         for table in &self.tables {
             let q = table.len;
-            if seq.len() < q {
+            if len < q {
                 fires.push(Vec::new());
                 continue;
             }
-            let n_starts = seq.len() + 1 - q;
+            let n_starts = len + 1 - q;
             let mut bits = vec![0u64; n_starts.div_ceil(64)];
             let SeedLookup::Direct(offsets) = &table.lookup else {
                 unreachable!("screened path requires direct tables")
@@ -517,7 +549,7 @@ impl MultiSeedScan {
                     }
                     let code = packed.window_word(start, q);
                     self.visit_entries(
-                        table, code, end, seq, packed, masks, seen, any_seen, tallies, out,
+                        table, code, end, packed, masks, seen, any_seen, tallies, out,
                     );
                 }
             }
@@ -534,7 +566,6 @@ impl MultiSeedScan {
         table: &SeedTable,
         code: u64,
         end: usize,
-        seq: &[Base],
         packed: &PackedSeq,
         masks: &[CandidateMask],
         seen: &mut [RecentWindows],
@@ -548,7 +579,7 @@ impl MultiSeedScan {
                 continue;
             }
             let start = end + 1 - back;
-            if start + self.site_len > seq.len() {
+            if start + self.site_len > packed.len() {
                 continue;
             }
             tallies.candidates += 1;
@@ -616,6 +647,18 @@ impl crate::engine::PreparedSearch for MultiSeedPrepared {
     ) -> Result<(), EngineError> {
         let _kernel = crispr_trace::span("kernel:multiseed");
         self.scan.scan_slice(seq, out, m);
+        Ok(())
+    }
+
+    fn scan_packed(
+        &self,
+        packed: &PackedSeq,
+        masks: &BaseMasks,
+        out: &mut Vec<Hit>,
+        m: &mut SearchMetrics,
+    ) -> Result<(), EngineError> {
+        let _kernel = crispr_trace::span("kernel:multiseed");
+        self.scan.scan_packed(packed, masks, out, m);
         Ok(())
     }
 
@@ -698,6 +741,45 @@ mod tests {
         assert!(m.counters.multiseed_candidates >= m.counters.multiseed_positions);
         assert!(m.counters.multiseed_positions > 0);
         assert!(m.gauge("guides_per_candidate").unwrap() >= 1.0);
+    }
+
+    #[test]
+    fn packed_scan_matches_slice_scan_on_every_backend() {
+        // k = 0 seeds are whole 20-base spacers (the hashed, rolling
+        // path on every backend); k ≥ 1 seeds are dense-table fragments
+        // (screened on vector backends, rolling on `Scalar`).
+        for k in 0..=4usize {
+            let (genome, guide_set, _) = crate::engine::test_support::planted_workload(311, k);
+            let contig = genome.contigs()[0].seq().as_slice();
+            let site_len = guide_set[0].site_len();
+            // Whole contig, an unaligned sub-slice, exactly one site, one
+            // base short of a site, and far shorter than a site.
+            let slices = [
+                contig,
+                &contig[7..5_000],
+                &contig[100..100 + site_len],
+                &contig[..site_len - 1],
+                &contig[..5],
+            ];
+            for backend in SimdBackend::ALL.into_iter().filter(|b| b.available()) {
+                let scan = MultiSeedScan::build_with(&patterns(&guide_set), site_len, k, backend)
+                    .expect("planted guides batch");
+                for seq in slices {
+                    let packed = PackedSeq::from_bases(seq);
+                    let masks = BaseMasks::build(&packed);
+                    let (mut slice_hits, mut slice_m) = (Vec::new(), SearchMetrics::default());
+                    scan.scan_slice(seq, &mut slice_hits, &mut slice_m);
+                    let (mut packed_hits, mut packed_m) = (Vec::new(), SearchMetrics::default());
+                    scan.scan_packed(&packed, &masks, &mut packed_hits, &mut packed_m);
+                    let at = format!("k={k} backend={} len={}", backend.name(), seq.len());
+                    assert_eq!(packed_hits, slice_hits, "{at}");
+                    assert_eq!(packed_m.counters, slice_m.counters, "{at}");
+                    if seq.len() == contig.len() {
+                        assert!(!slice_hits.is_empty(), "{at}: workload plants hits");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

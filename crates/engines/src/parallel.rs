@@ -5,7 +5,11 @@
 //! ([`Engine::prepare`]); workers then scan *borrowed* overlapping slices
 //! of each contig through the shared [`PreparedSearch`] — no per-chunk
 //! recompilation and no per-chunk genome copies (`bytes_copied` meters
-//! exactly that and stays zero). Chunks overlap by `site_len − 1` bases so
+//! exactly that and stays zero). A packed genome ([`ScanSource::Packed`])
+//! is scanned the same way through [`PreparedSearch::scan_packed`]: a
+//! whole-contig chunk borrows the resident words and bitmaps, and only a
+//! sub-contig chunk pays a re-aligned copy (charged to the worker's
+//! `genome_load_s`). Chunks overlap by `site_len − 1` bases so
 //! no window is lost at a boundary; hits are shifted back to contig
 //! coordinates and re-normalized (overlap regions produce duplicate hits
 //! by construction; normalization removes them). This is the standard way
@@ -38,7 +42,7 @@
 use crate::engine::{Engine, PreparedSearch};
 use crate::error::ChunkFailure;
 use crate::{CancelToken, EngineError, SearchError};
-use crispr_genome::{Base, Genome};
+use crispr_genome::{Base, Genome, PackedContig, PackedGenome};
 use crispr_guides::{normalize, Guide, Hit};
 use crispr_model::{ParallelMetrics, SearchMetrics, ThreadStats};
 use crispr_trace as trace;
@@ -62,11 +66,98 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 use crate::degrade::panic_cause;
 
-/// One unit of work: a borrowed contig slice plus its retry history.
+/// What a deployment scans: byte-per-base contigs, or packed contigs
+/// whose chunks reach [`PreparedSearch::scan_packed`] unchanged.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanSource<'g> {
+    /// A byte-per-base genome; chunks are borrowed base slices.
+    Bases(&'g Genome),
+    /// A packed genome; a whole-contig chunk borrows the resident words
+    /// and bitmaps, a sub-contig chunk gets a re-aligned copy.
+    Packed(&'g PackedGenome),
+}
+
+impl<'g> From<&'g Genome> for ScanSource<'g> {
+    fn from(genome: &'g Genome) -> ScanSource<'g> {
+        ScanSource::Bases(genome)
+    }
+}
+
+impl<'g> From<&'g PackedGenome> for ScanSource<'g> {
+    fn from(genome: &'g PackedGenome) -> ScanSource<'g> {
+        ScanSource::Packed(genome)
+    }
+}
+
+impl<'g> ScanSource<'g> {
+    fn contig_lens(self) -> Vec<usize> {
+        match self {
+            ScanSource::Bases(g) => g.contigs().iter().map(|c| c.len()).collect(),
+            ScanSource::Packed(g) => g.contigs().iter().map(PackedContig::len).collect(),
+        }
+    }
+
+    fn contig_name(self, ci: usize) -> &'g str {
+        match self {
+            ScanSource::Bases(g) => g.contigs()[ci].name(),
+            ScanSource::Packed(g) => g.contigs()[ci].name(),
+        }
+    }
+
+    /// Bases `[start, end)` of contig `ci` as chunk input.
+    fn chunk(self, ci: usize, start: usize, end: usize) -> ChunkData<'g> {
+        match self {
+            ScanSource::Bases(g) => ChunkData::Bases(&g.contigs()[ci].seq().as_slice()[start..end]),
+            ScanSource::Packed(g) => {
+                ChunkData::Packed { contig: &g.contigs()[ci], start, len: end - start }
+            }
+        }
+    }
+}
+
+/// One chunk's bases: a borrowed slice, or a range of a packed contig.
+#[derive(Debug, Clone, Copy)]
+enum ChunkData<'g> {
+    Bases(&'g [Base]),
+    Packed { contig: &'g PackedContig, start: usize, len: usize },
+}
+
+impl ChunkData<'_> {
+    fn len(&self) -> usize {
+        match self {
+            ChunkData::Bases(slice) => slice.len(),
+            ChunkData::Packed { len, .. } => *len,
+        }
+    }
+
+    /// Scans the chunk, appending chunk-relative raw hits.
+    fn scan(
+        &self,
+        prepared: &dyn PreparedSearch,
+        out: &mut Vec<Hit>,
+        m: &mut SearchMetrics,
+    ) -> Result<(), EngineError> {
+        match *self {
+            ChunkData::Bases(slice) => prepared.scan_slice(slice, out, m),
+            ChunkData::Packed { contig, start: 0, len } if len == contig.len() => {
+                prepared.scan_packed(contig.seq(), contig.masks(), out, m)
+            }
+            ChunkData::Packed { contig, start, len } => {
+                let load_start = Instant::now();
+                let seq = contig.seq().range(start, len);
+                let masks = contig.masks().range(start, len);
+                m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
+                prepared.scan_packed(&seq, &masks, out, m)
+            }
+        }
+    }
+}
+
+/// One unit of work: a contig chunk plus its retry history.
 struct ChunkItem<'g> {
     contig: u32,
     offset: u64,
-    slice: &'g [Base],
+    data: ChunkData<'g>,
     attempts: u32,
     /// When the item was last re-queued after a failure; the dequeue
     /// side turns it into the `retry_backoff_s` histogram.
@@ -178,9 +269,29 @@ impl<E: Engine + Sync> ParallelEngine<E> {
         &self.inner
     }
 
+    /// [`Engine::search_cancellable`] over any [`ScanSource`] — how a
+    /// caller holding a [`PackedGenome`] runs the parallel deployment
+    /// without materializing byte-per-base contigs.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Engine::search_cancellable`], plus
+    /// [`SearchError::Partial`] (see [`scan_prepared`]).
+    pub fn search_source(
+        &self,
+        source: ScanSource<'_>,
+        guides: &[Guide],
+        k: usize,
+        cancel: &CancelToken,
+        metrics: &mut SearchMetrics,
+    ) -> Result<Vec<Hit>, EngineError> {
+        metrics.engine = self.name().to_string();
+        self.scan(source, guides, k, cancel, metrics)
+    }
+
     fn scan(
         &self,
-        genome: &Genome,
+        source: ScanSource<'_>,
         guides: &[Guide],
         k: usize,
         cancel: &CancelToken,
@@ -188,7 +299,7 @@ impl<E: Engine + Sync> ParallelEngine<E> {
     ) -> Result<Vec<Hit>, EngineError> {
         // Faults fired during prepare are metered here; scan-side fires
         // are metered by `scan_prepared`'s own delta.
-        let faults_before = crispr_failpoint::fired_total();
+        let faults = crispr_failpoint::FireMark::now();
         let compile_start = Instant::now();
         let prepared = {
             let _span = trace::span("phase:guide_compile");
@@ -196,7 +307,7 @@ impl<E: Engine + Sync> ParallelEngine<E> {
         };
         m.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
         prepared.record_gauges(m);
-        m.counters.faults_injected += crispr_failpoint::fired_total() - faults_before;
+        m.counters.faults_injected += faults.fired_since();
 
         let deployment = ScanDeployment {
             threads: self.threads,
@@ -204,24 +315,22 @@ impl<E: Engine + Sync> ParallelEngine<E> {
             chunk_len: self.chunk_len,
             cancel: cancel.clone(),
         };
-        scan_prepared(prepared.as_ref(), genome, &deployment, m)
+        scan_prepared(prepared.as_ref(), source, &deployment, m)
     }
 }
 
 /// Splits contigs into overlapping chunk work items borrowing the
-/// genome: `(contig index, chunk start, slice)`.
+/// genome: `(contig index, chunk start, chunk data)`.
 fn chunks<'g>(
-    genome: &'g Genome,
+    source: ScanSource<'g>,
     site_len: usize,
     deployment: &ScanDeployment,
-) -> Vec<(u32, u64, &'g [Base])> {
+) -> Vec<(u32, u64, ChunkData<'g>)> {
     let mut work = Vec::new();
-    for (ci, contig) in genome.contigs().iter().enumerate() {
-        if contig.len() < site_len {
+    for (ci, total) in source.contig_lens().into_iter().enumerate() {
+        if total < site_len {
             continue;
         }
-        let seq = contig.seq().as_slice();
-        let total = seq.len();
         let base_len = match deployment.chunk_len {
             Some(len) => len,
             None => {
@@ -232,7 +341,7 @@ fn chunks<'g>(
         let mut start = 0usize;
         while start < total {
             let end = (start + base_len + site_len - 1).min(total);
-            work.push((ci as u32, start as u64, &seq[start..end]));
+            work.push((ci as u32, start as u64, source.chunk(ci, start, end)));
             if end == total {
                 break;
             }
@@ -242,7 +351,8 @@ fn chunks<'g>(
     work
 }
 
-/// Fans an already-compiled [`PreparedSearch`] out over `genome` with the
+/// Fans an already-compiled [`PreparedSearch`] out over a genome — byte
+/// slices or packed contigs, see [`ScanSource`] — with the
 /// full self-healing machinery of [`ParallelEngine`]: per-chunk panic
 /// isolation, bounded retries, and structured partiality. This is the
 /// scan half of the engine, exposed so callers holding a cached prepared
@@ -258,27 +368,28 @@ fn chunks<'g>(
 /// budget — carrying the recovered hits and per-chunk provenance, with
 /// `m` fully populated (the partial-results contract: metrics and hits
 /// survive the failure).
-pub fn scan_prepared(
+pub fn scan_prepared<'g>(
     prepared: &dyn PreparedSearch,
-    genome: &Genome,
+    source: impl Into<ScanSource<'g>>,
     deployment: &ScanDeployment,
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
     assert!(deployment.threads > 0, "need at least one thread");
-    let faults_before = crispr_failpoint::fired_total();
+    let source = source.into();
+    let faults = crispr_failpoint::FireMark::now();
     let site_len = prepared.site_len();
-    let work = chunks(genome, site_len, deployment);
+    let work = chunks(source, site_len, deployment);
     let chunks_total = work.len() as u64;
-    let chunk_len_min = work.iter().map(|(_, _, s)| s.len() as u64).min().unwrap_or(0);
-    let chunk_len_max = work.iter().map(|(_, _, s)| s.len() as u64).max().unwrap_or(0);
+    let chunk_len_min = work.iter().map(|(_, _, d)| d.len() as u64).min().unwrap_or(0);
+    let chunk_len_max = work.iter().map(|(_, _, d)| d.len() as u64).max().unwrap_or(0);
 
     let scan_start = Instant::now();
     let queue: Mutex<VecDeque<ChunkItem<'_>>> = Mutex::new(
         work.into_iter()
-            .map(|(contig, offset, slice)| ChunkItem {
+            .map(|(contig, offset, data)| ChunkItem {
                 contig,
                 offset,
-                slice,
+                data,
                 attempts: 0,
                 requeued_at: None,
             })
@@ -328,8 +439,8 @@ pub fn scan_prepared(
                             crispr_failpoint::hit("parallel.chunk").map_err(|e| e.to_string())?;
                             let mut buf = Vec::new();
                             let mut scratch = SearchMetrics::default();
-                            prepared
-                                .scan_slice(item.slice, &mut buf, &mut scratch)
+                            item.data
+                                .scan(prepared, &mut buf, &mut scratch)
                                 .map_err(|e| e.to_string())?;
                             Ok((buf, scratch))
                         },
@@ -348,9 +459,8 @@ pub fn scan_prepared(
                                 trace::instant("chunk_heal", item.contig as u64, item.offset);
                             }
                             report.local.observe("chunk_scan_s", attempt_s);
-                            trace::progress::add(
-                                item.slice.len() as u64 - overlap.min(item.slice.len() as u64),
-                            );
+                            let len = item.data.len() as u64;
+                            trace::progress::add(len - overlap.min(len));
                             report.stats.chunks += 1;
                             report.stats.raw_hits += buf.len() as u64;
                             report.local.phases.merge(&scratch.phases);
@@ -377,7 +487,7 @@ pub fn scan_prepared(
                                 contig: item.contig,
                                 contig_name: String::new(),
                                 start: item.offset,
-                                len: item.slice.len() as u64,
+                                len: item.data.len() as u64,
                                 attempts: item.attempts,
                                 cause,
                             });
@@ -440,7 +550,7 @@ pub fn scan_prepared(
     // balance: the serial compile and report phases, plus the busiest
     // worker's scan time.
     m.set_gauge("critical_path_s", m.phases.guide_compile_s + max_busy_s + m.phases.report_s);
-    m.counters.faults_injected += crispr_failpoint::fired_total() - faults_before;
+    m.counters.faults_injected += faults.fired_since();
 
     // A trip observed after every chunk already completed is not a
     // cancellation: the full answer exists, so it is returned. Only a
@@ -454,7 +564,7 @@ pub fn scan_prepared(
 
     if !failures.is_empty() {
         for failure in &mut failures {
-            failure.contig_name = genome.contigs()[failure.contig as usize].name().to_string();
+            failure.contig_name = source.contig_name(failure.contig as usize).to_string();
         }
         failures.sort_by_key(|f| (f.contig, f.start));
         return Err(SearchError::Partial { failures, chunks_total, hits });
@@ -476,7 +586,7 @@ impl<E: Engine + Sync> Engine for ParallelEngine<E> {
     }
 
     fn search(&self, genome: &Genome, guides: &[Guide], k: usize) -> Result<Vec<Hit>, EngineError> {
-        self.scan(genome, guides, k, &CancelToken::none(), &mut SearchMetrics::default())
+        self.scan(genome.into(), guides, k, &CancelToken::none(), &mut SearchMetrics::default())
     }
 
     fn search_metered(
@@ -486,8 +596,7 @@ impl<E: Engine + Sync> Engine for ParallelEngine<E> {
         k: usize,
         metrics: &mut SearchMetrics,
     ) -> Result<Vec<Hit>, EngineError> {
-        metrics.engine = self.name().to_string();
-        self.scan(genome, guides, k, &CancelToken::none(), metrics)
+        self.search_source(genome.into(), guides, k, &CancelToken::none(), metrics)
     }
 
     fn search_cancellable(
@@ -498,8 +607,7 @@ impl<E: Engine + Sync> Engine for ParallelEngine<E> {
         cancel: &CancelToken,
         metrics: &mut SearchMetrics,
     ) -> Result<Vec<Hit>, EngineError> {
-        metrics.engine = self.name().to_string();
-        self.scan(genome, guides, k, cancel, metrics)
+        self.search_source(genome.into(), guides, k, cancel, metrics)
     }
 }
 
@@ -508,9 +616,18 @@ mod tests {
     use super::*;
     use crate::engine::test_support::planted_workload;
     use crate::{BitParallelEngine, CasOffinderCpuEngine, ScalarEngine};
+    use crispr_failpoint::FailScenario;
+
+    /// Holds the failpoint scenario lock with nothing armed, so a clean
+    /// run neither meets nor consumes faults armed by a test running on
+    /// another thread.
+    fn unarmed() -> FailScenario {
+        FailScenario::setup("")
+    }
 
     #[test]
     fn parallel_equals_serial_bitparallel() {
+        let _unarmed = unarmed();
         let (genome, guides, _) = planted_workload(71, 3);
         let serial = BitParallelEngine::new().search(&genome, &guides, 3).unwrap();
         for threads in [1, 2, 4, 7] {
@@ -523,6 +640,7 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial_brute_force() {
+        let _unarmed = unarmed();
         let (genome, guides, _) = planted_workload(72, 2);
         let serial = CasOffinderCpuEngine::new().search(&genome, &guides, 2).unwrap();
         let par = ParallelEngine::new(CasOffinderCpuEngine::new(), 3)
@@ -533,6 +651,7 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_do_not_lose_hits() {
+        let _unarmed = unarmed();
         // A genome barely larger than one site, forcing overlap handling.
         let (genome, guides, _) = planted_workload(73, 1);
         let truth = ScalarEngine::new().search(&genome, &guides, 1).unwrap();
@@ -542,6 +661,7 @@ mod tests {
 
     #[test]
     fn inner_errors_propagate() {
+        let _unarmed = unarmed();
         let genome = crispr_genome::Genome::from_seq("ACGT".parse().unwrap());
         let engine = ParallelEngine::new(ScalarEngine::new(), 2);
         assert!(engine.search(&genome, &[], 1).is_err());
@@ -565,6 +685,7 @@ mod tests {
 
     #[test]
     fn multi_contig_chunking_matches_serial() {
+        let _unarmed = unarmed();
         use crispr_guides::genset::{self, PlantPlan};
         let guides = genset::random_guides(3, 20, &crispr_guides::Pam::ngg(), 95);
         let (genome, planted) =
@@ -583,6 +704,7 @@ mod tests {
 
     #[test]
     fn chunk_boundary_duplicates_are_removed() {
+        let _unarmed = unarmed();
         // Overlapping chunks re-discover boundary-window hits; the merged
         // result must still be strictly sorted and duplicate-free.
         let (genome, guides, _) = planted_workload(74, 2);
@@ -592,6 +714,7 @@ mod tests {
 
     #[test]
     fn adversarial_chunk_lens_keep_batched_hits_exact() {
+        let _unarmed = unarmed();
         // The batched path finds one site through several seed fragments;
         // without its streaming dedup, overlap windows at chunk boundaries
         // emit duplicate raw hits and double-counted verifier work. Chunk
@@ -626,6 +749,7 @@ mod tests {
 
     #[test]
     fn metered_parallel_fills_stats_and_counters() {
+        let _unarmed = unarmed();
         let (genome, guides, _) = planted_workload(75, 2);
         let engine = ParallelEngine::new(BitParallelEngine::new(), 3);
         let mut m = SearchMetrics::default();
@@ -666,10 +790,13 @@ mod tests {
     fn injected_chunk_faults_self_heal() {
         let (genome, guides, _) = planted_workload(78, 2);
         let engine = ParallelEngine::new(BitParallelEngine::new(), 3);
-        let clean = engine.search(&genome, &guides, 2).unwrap();
+        let clean = {
+            let _unarmed = unarmed();
+            engine.search(&genome, &guides, 2).unwrap()
+        };
         // Two guaranteed fires, then the site exhausts; the default
         // retry budget re-queues both failed chunks.
-        let _scenario = crispr_failpoint::FailScenario::setup("parallel.chunk=panic:1.0,5,2");
+        let _scenario = FailScenario::setup("parallel.chunk=panic:1.0,5,2");
         let mut m = SearchMetrics::default();
         let hits = engine.search_metered(&genome, &guides, 2, &mut m).unwrap();
         assert_eq!(hits, clean);
@@ -693,7 +820,7 @@ mod tests {
     fn persistent_faults_become_structured_partial_errors() {
         let (genome, guides, _) = planted_workload(79, 1);
         let engine = ParallelEngine::new(ScalarEngine::new(), 2).with_retry_limit(1);
-        let _scenario = crispr_failpoint::FailScenario::setup("parallel.chunk=error");
+        let _scenario = FailScenario::setup("parallel.chunk=error");
         let err = engine.search(&genome, &guides, 1).unwrap_err();
         let SearchError::Partial { failures, chunks_total, hits } = err else {
             panic!("expected Partial");
@@ -711,8 +838,11 @@ mod tests {
         // must reconstruct the full hit set.
         let (genome, guides, _) = planted_workload(81, 2);
         let engine = ParallelEngine::new(BitParallelEngine::new(), 4).with_retry_limit(0);
-        let clean = engine.search(&genome, &guides, 2).unwrap();
-        let _scenario = crispr_failpoint::FailScenario::setup("parallel.chunk=error:1.0,13,1");
+        let clean = {
+            let _unarmed = unarmed();
+            engine.search(&genome, &guides, 2).unwrap()
+        };
+        let _scenario = FailScenario::setup("parallel.chunk=error:1.0,13,1");
         let mut m = SearchMetrics::default();
         let err = engine.search_metered(&genome, &guides, 2, &mut m).unwrap_err();
         let SearchError::Partial { failures, chunks_total, hits } = err else {
@@ -737,6 +867,7 @@ mod tests {
 
     #[test]
     fn scan_prepared_reuses_a_cached_compile() {
+        let _unarmed = unarmed();
         // The serve-layer path: prepare once, scan many times through the
         // public deployment function. Results must match the engine
         // driver's, and no compile time may be charged to the scan.
@@ -754,7 +885,41 @@ mod tests {
     }
 
     #[test]
+    fn packed_chunks_match_base_chunks() {
+        // Whole-contig chunks borrow the resident packed words; sub-contig
+        // chunks (adversarially short ones included) get re-aligned
+        // copies. Either way hits and counters equal the byte-slice scan.
+        let _unarmed = unarmed();
+        let (genome, guides, _) = planted_workload(83, 2);
+        let packed = genome.pack();
+        let site_len = guides[0].site_len();
+        for engine in [BitParallelEngine::new(), BitParallelEngine::batched()] {
+            let prepared = engine.prepare(&guides, 2).unwrap();
+            for (threads, chunk_len) in [(1, None), (3, None), (2, Some(site_len)), (3, Some(997))]
+            {
+                let deployment = ScanDeployment { chunk_len, ..ScanDeployment::new(threads) };
+                let mut base_m = SearchMetrics::default();
+                let from_bases =
+                    scan_prepared(prepared.as_ref(), &genome, &deployment, &mut base_m).unwrap();
+                let mut packed_m = SearchMetrics::default();
+                let from_packed =
+                    scan_prepared(prepared.as_ref(), &packed, &deployment, &mut packed_m).unwrap();
+                let at = format!("{} threads={threads} chunk_len={chunk_len:?}", engine.name());
+                assert_eq!(from_packed, from_bases, "{at}");
+                assert_eq!(packed_m.counters, base_m.counters, "{at}");
+                let load_s = packed_m.parallel.as_ref().unwrap().worker_phases.genome_load_s;
+                if threads == 1 && chunk_len.is_none() {
+                    assert_eq!(load_s, 0.0, "{at}: a whole-contig chunk must not copy");
+                } else {
+                    assert!(load_s > 0.0, "{at}: sub-contig copies are charged to load");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn compile_is_charged_once_and_chunks_are_borrowed() {
+        let _unarmed = unarmed();
         let (genome, guides, _) = planted_workload(76, 2);
         let engine = ParallelEngine::new(BitParallelEngine::new(), 4);
         let mut m = SearchMetrics::default();

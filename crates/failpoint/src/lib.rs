@@ -125,7 +125,13 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static FIRED_TOTAL: AtomicU64 = AtomicU64::new(0);
+/// Every fault fired since process start. Never reset, so a delta taken
+/// across a search cannot underflow when another thread clears a
+/// scenario mid-run; [`fired_total`] reports it relative to the last
+/// [`clear`].
+static FIRED_EVER: AtomicU64 = AtomicU64::new(0);
+/// The value of [`FIRED_EVER`] at the last [`clear`].
+static FIRED_AT_CLEAR: AtomicU64 = AtomicU64::new(0);
 
 fn registry() -> &'static Mutex<HashMap<String, SiteConfig>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, SiteConfig>>> = OnceLock::new();
@@ -252,13 +258,32 @@ pub fn configure_from_env() -> Result<(), SpecError> {
 pub fn clear() {
     ENABLED.store(false, Ordering::Release);
     lock_unpoisoned(registry()).clear();
-    FIRED_TOTAL.store(0, Ordering::Release);
+    FIRED_AT_CLEAR.store(FIRED_EVER.load(Ordering::Acquire), Ordering::Release);
 }
 
-/// Total faults fired process-wide since the last [`clear`] — the source
-/// of the `faults_injected` metric (drivers meter deltas around a search).
+/// Total faults fired process-wide since the last [`clear`].
 pub fn fired_total() -> u64 {
-    FIRED_TOTAL.load(Ordering::Acquire)
+    FIRED_EVER.load(Ordering::Acquire).saturating_sub(FIRED_AT_CLEAR.load(Ordering::Acquire))
+}
+
+/// A reading of the process-wide fire count that [`clear`] never resets
+/// — the source of the `faults_injected` metric. Drivers take a mark
+/// before a search and add [`FireMark::fired_since`] after it, so a
+/// scenario armed or cleared on another thread during the run cannot
+/// make the delta underflow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FireMark(u64);
+
+impl FireMark {
+    /// Marks the current fire count.
+    pub fn now() -> FireMark {
+        FireMark(FIRED_EVER.load(Ordering::Acquire))
+    }
+
+    /// Faults fired process-wide since this mark was taken.
+    pub fn fired_since(self) -> u64 {
+        FIRED_EVER.load(Ordering::Acquire) - self.0
+    }
 }
 
 /// What a fire observer is told about one fired fault: the site name
@@ -329,7 +354,7 @@ fn evaluate(site: &str) -> Option<FailKind> {
     }
     let kind = config.kind;
     drop(guard);
-    FIRED_TOTAL.fetch_add(1, Ordering::AcqRel);
+    FIRED_EVER.fetch_add(1, Ordering::AcqRel);
     if let Some(observer) = fire_observer().get() {
         observer(FireEvent { site, kind });
     }
@@ -502,6 +527,18 @@ mod tests {
         }
         // Nothing was installed by the failures.
         assert!(hit("s").is_ok());
+    }
+
+    #[test]
+    fn fire_marks_survive_a_concurrent_clear() {
+        let _scenario = FailScenario::setup("m=error");
+        let mark = FireMark::now();
+        assert!(hit("m").is_err());
+        // A clear from another scenario between the mark and the read
+        // resets `fired_total` but not the mark's delta.
+        clear();
+        assert_eq!(fired_total(), 0);
+        assert_eq!(mark.fired_since(), 1);
     }
 
     #[test]

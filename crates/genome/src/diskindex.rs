@@ -57,8 +57,9 @@
 //! automatically.
 
 use crate::kmer::{DenseQGrams, DENSE_Q_MAX};
+use crate::packed::shifted_words;
 use crate::pamindex::BaseMasks;
-use crate::{Base, DnaSeq, Genome, GenomeError, PackedSeq};
+use crate::{Base, DnaSeq, Genome, GenomeError, PackedContig, PackedGenome, PackedSeq};
 use std::path::Path;
 
 /// File magic: the first eight bytes of every index.
@@ -420,9 +421,9 @@ impl GenomeIndex {
             "range [{start}, {start}+{len}) out of contig bounds (len {})",
             meta.len
         );
+        let bytes = self.source.bytes();
         let words = shifted_words(
-            self.source.bytes(),
-            meta.packed_start,
+            |i| read_u64(bytes, meta.packed_start + 8 * i),
             meta.len.div_ceil(32),
             start / 32,
             (start % 32) as u32 * 2,
@@ -456,10 +457,11 @@ impl GenomeIndex {
             meta.len
         );
         let contig_words = meta.len.div_ceil(64);
+        let bytes = self.source.bytes();
         let masks = [0usize, 1, 2, 3].map(|b| {
+            let run_start = meta.masks_start + b * 8 * contig_words;
             shifted_words(
-                self.source.bytes(),
-                meta.masks_start + b * 8 * contig_words,
+                |i| read_u64(bytes, run_start + 8 * i),
                 contig_words,
                 start / 64,
                 (start % 64) as u32,
@@ -510,10 +512,26 @@ impl GenomeIndex {
         Ok(Some(table))
     }
 
+    /// Copies every contig's packed words and base bitmaps out of the
+    /// index into a resident [`PackedGenome`] — no unpack, no mask
+    /// rebuild: one linear word copy of 0.75 byte per base. What a
+    /// daemon or a multi-threaded scan holds instead of the mapping.
+    pub fn to_packed(&self) -> PackedGenome {
+        (0..self.contigs.len())
+            .map(|ci| {
+                PackedContig::new(
+                    self.contigs[ci].name.clone(),
+                    self.contig_packed(ci),
+                    self.contig_masks(ci),
+                )
+            })
+            .collect()
+    }
+
     /// Materializes the full [`Genome`] by unpacking every contig — the
-    /// compatibility path for consumers that need byte-per-base slices
-    /// (multi-threaded chunking, modeled platforms). Skips FASTA parsing
-    /// entirely; costs one linear unpack.
+    /// compatibility path for consumers that need byte-per-base
+    /// sequences (the modeled platforms). Skips FASTA parsing entirely;
+    /// costs one linear unpack.
     ///
     /// # Errors
     ///
@@ -532,34 +550,6 @@ impl GenomeIndex {
         let (q, contigs, total_len) = validate(source.bytes())?;
         Ok(GenomeIndex { source, mapped, q, contigs, total_len })
     }
-}
-
-/// Reads `out_words` words of a stored word run as if the bit stream
-/// started `bit_shift` bits into word `first_word`: the cross-word
-/// shift-and-combine that re-bases a packed or bitmap run onto a shard
-/// boundary. Words past `avail_words` read as zero.
-fn shifted_words(
-    bytes: &[u8],
-    run_start: usize,
-    avail_words: usize,
-    first_word: usize,
-    bit_shift: u32,
-    out_words: usize,
-) -> Vec<u64> {
-    let word_at = |i: usize| -> u64 {
-        if i < avail_words {
-            read_u64(bytes, run_start + 8 * i)
-        } else {
-            0
-        }
-    };
-    let mut out = Vec::with_capacity(out_words);
-    for i in 0..out_words {
-        let lo = word_at(first_word + i) >> bit_shift;
-        let hi = if bit_shift == 0 { 0 } else { word_at(first_word + i + 1) << (64 - bit_shift) };
-        out.push(lo | hi);
-    }
-    out
 }
 
 /// One section being assembled: id plus payload bytes.
@@ -849,6 +839,7 @@ mod tests {
         }
         let back = index.to_genome().unwrap();
         assert_eq!(back, genome);
+        assert_eq!(index.to_packed(), genome.pack());
     }
 
     #[test]

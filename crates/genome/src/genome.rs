@@ -1,3 +1,4 @@
+use crate::pamindex::BaseMasks;
 use crate::{DnaSeq, GenomeError, PackedSeq};
 use std::fmt;
 
@@ -160,9 +161,99 @@ impl Genome {
         WindowIter { contig: &self.contigs[contig_idx], strand, len, pos: 0 }
     }
 
-    /// Packs every contig to the 2-bit representation, in contig order.
-    pub fn pack(&self) -> Vec<PackedSeq> {
-        self.contigs.iter().map(|c| PackedSeq::from_seq(c.seq())).collect()
+    /// Packs every contig into the scan-ready [`PackedGenome`] form: the
+    /// 2-bit words plus the four per-base bitmaps, exactly what an
+    /// on-disk index stores for the same contigs.
+    pub fn pack(&self) -> PackedGenome {
+        let contigs = self
+            .contigs
+            .iter()
+            .map(|c| {
+                let seq = PackedSeq::from_seq(c.seq());
+                let masks = BaseMasks::build(&seq);
+                PackedContig::new(c.name.clone(), seq, masks)
+            })
+            .collect();
+        PackedGenome { contigs }
+    }
+}
+
+/// One contig in scan-ready packed form: its 2-bit words plus the four
+/// per-base bitmaps the PAM-anchor pass intersects — 0.75 byte per base.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedContig {
+    name: String,
+    seq: PackedSeq,
+    masks: BaseMasks,
+}
+
+impl PackedContig {
+    /// Creates a packed contig.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` does not cover exactly the bases of `seq`.
+    pub fn new(name: impl Into<String>, seq: PackedSeq, masks: BaseMasks) -> PackedContig {
+        assert_eq!(seq.len(), masks.len(), "bitmaps must cover the packed bases");
+        PackedContig { name: name.into(), seq, masks }
+    }
+
+    /// The contig name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The 2-bit packed bases.
+    pub fn seq(&self) -> &PackedSeq {
+        &self.seq
+    }
+
+    /// The per-base bitmaps.
+    pub fn masks(&self) -> &BaseMasks {
+        &self.masks
+    }
+
+    /// Length in bases.
+    pub fn len(&self) -> usize {
+        self.seq.len()
+    }
+
+    /// Whether the contig holds no bases.
+    pub fn is_empty(&self) -> bool {
+        self.seq.is_empty()
+    }
+}
+
+/// A reference genome held in packed form — the representation the
+/// scan kernels read and an on-disk index stores, so a daemon booted
+/// from either FASTA ([`Genome::pack`]) or an index
+/// ([`crate::diskindex::GenomeIndex::to_packed`]) hands its contigs to
+/// the kernels unchanged.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PackedGenome {
+    contigs: Vec<PackedContig>,
+}
+
+impl PackedGenome {
+    /// The contigs in order.
+    pub fn contigs(&self) -> &[PackedContig] {
+        &self.contigs
+    }
+
+    /// Number of contigs.
+    pub fn contig_count(&self) -> usize {
+        self.contigs.len()
+    }
+
+    /// Total bases across all contigs.
+    pub fn total_len(&self) -> usize {
+        self.contigs.iter().map(PackedContig::len).sum()
+    }
+}
+
+impl FromIterator<PackedContig> for PackedGenome {
+    fn from_iter<I: IntoIterator<Item = PackedContig>>(iter: I) -> PackedGenome {
+        PackedGenome { contigs: iter.into_iter().collect() }
     }
 }
 
@@ -280,7 +371,10 @@ mod tests {
         g.add_contig("a", "ACGT".parse().unwrap()).unwrap();
         g.add_contig("b", "GGCC".parse().unwrap()).unwrap();
         let packed = g.pack();
-        assert_eq!(packed.len(), 2);
-        assert_eq!(packed[1].unpack().to_string(), "GGCC");
+        assert_eq!(packed.contig_count(), 2);
+        assert_eq!(packed.total_len(), 8);
+        let b = &packed.contigs()[1];
+        assert_eq!((b.name(), b.seq().unpack().to_string()), ("b", "GGCC".to_string()));
+        assert_eq!(b.masks(), &BaseMasks::build(b.seq()));
     }
 }

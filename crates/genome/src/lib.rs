@@ -17,7 +17,8 @@
 //!   anchor bitmaps, and q-gram tables that scans mmap instead of
 //!   re-deriving.
 //! * [`Genome`] — a set of named contigs with window iteration over both
-//!   strands.
+//!   strands, and [`PackedGenome`] — the same contigs as packed words plus
+//!   per-base bitmaps, the form scans and long-lived daemons hold.
 //! * [`synth`] — synthetic genome generation with controllable GC content,
 //!   repeat structure, and *planted* off-target sites that serve as exact
 //!   ground truth for correctness tests (our substitute for hg19/GRCh38,
@@ -49,6 +50,6 @@ pub mod synth;
 
 pub use base::{Base, IupacCode};
 pub use error::GenomeError;
-pub use genome::{Contig, Genome, Strand, WindowIter};
+pub use genome::{Contig, Genome, PackedContig, PackedGenome, Strand, WindowIter};
 pub use packed::{hamming_lanes, PackedSeq};
 pub use seq::DnaSeq;

@@ -107,9 +107,14 @@ impl PackedSeq {
         Base::from_code((word >> ((index % BASES_PER_WORD) * 2)) as u8)
     }
 
-    /// Unpacks back to a [`DnaSeq`].
+    /// Unpacks back to a [`DnaSeq`], a word at a time.
     pub fn unpack(&self) -> DnaSeq {
-        (0..self.len).map(|i| self.base(i)).collect()
+        let mut bases = Vec::with_capacity(self.len);
+        for &word in &self.words {
+            let lanes = (self.len - bases.len()).min(BASES_PER_WORD);
+            bases.extend((0..lanes).map(|i| Base::from_code((word >> (2 * i)) as u8)));
+        }
+        DnaSeq::from_bases(bases)
     }
 
     /// Counts mismatches between `pattern` (a short packed sequence) and the
@@ -219,6 +224,29 @@ impl PackedSeq {
         out
     }
 
+    /// The bases `[start, start + len)` re-aligned to a fresh packed
+    /// sequence — the copy a scan of a sub-contig chunk gets. Equal to
+    /// packing the same bases directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the sequence.
+    pub fn range(&self, start: usize, len: usize) -> PackedSeq {
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= self.len),
+            "range [{start}, {start}+{len}) out of bounds (len {})",
+            self.len
+        );
+        let words = shifted_words(
+            |i| self.words[i],
+            self.words.len(),
+            start / BASES_PER_WORD,
+            (start % BASES_PER_WORD) as u32 * 2,
+            len.div_ceil(BASES_PER_WORD),
+        );
+        PackedSeq::from_raw_parts(words, len).expect("word count computed from len")
+    }
+
     /// Extracts `count ≤ 32` bases starting at `index` as a right-aligned
     /// 2-bit-per-base word; lanes beyond `count` are zero.
     fn extract_word(&self, index: usize, count: usize) -> u64 {
@@ -235,6 +263,29 @@ impl PackedSeq {
         }
         value
     }
+}
+
+/// Reads `out_words` words of a word run as if its bit stream started
+/// `bit_shift` bits into word `first_word`: the cross-word
+/// shift-and-combine that re-bases a packed or bitmap run onto a chunk or
+/// shard boundary. `word_at(i)` yields stored word `i` — decoded from an
+/// index file or read from resident words — and words at or past
+/// `avail_words` read as zero.
+pub(crate) fn shifted_words(
+    word_at: impl Fn(usize) -> u64,
+    avail_words: usize,
+    first_word: usize,
+    bit_shift: u32,
+    out_words: usize,
+) -> Vec<u64> {
+    let word = |i: usize| if i < avail_words { word_at(i) } else { 0 };
+    let mut out = Vec::with_capacity(out_words);
+    for i in 0..out_words {
+        let lo = word(first_word + i) >> bit_shift;
+        let hi = if bit_shift == 0 { 0 } else { word(first_word + i + 1) << (64 - bit_shift) };
+        out.push(lo | hi);
+    }
+    out
 }
 
 /// Per-lane spacer mismatch counts: `out[j]` is the Hamming distance
@@ -377,6 +428,19 @@ mod tests {
                 PackedSeq::from_bases(original.as_slice()),
                 PackedSeq::from_seq(&original),
                 "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn range_equals_packing_the_subsequence() {
+        let text = seq(&"GATTACAGGCCTAGGTACGTT".repeat(9)); // 189 bases
+        let packed = PackedSeq::from_seq(&text);
+        for (start, len) in [(0, 0), (0, 189), (1, 31), (31, 34), (32, 64), (63, 126), (188, 1)] {
+            assert_eq!(
+                packed.range(start, len),
+                PackedSeq::from_seq(&text.subseq(start..start + len)),
+                "{start}+{len}"
             );
         }
     }

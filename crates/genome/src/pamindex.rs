@@ -87,6 +87,30 @@ impl BaseMasks {
         &self.masks[base.code() as usize]
     }
 
+    /// The bitmaps of positions `[start, start + len)`, re-aligned like
+    /// [`PackedSeq::range`]. Equal to building them for the same range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the covered positions.
+    pub fn range(&self, start: usize, len: usize) -> BaseMasks {
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= self.len),
+            "range [{start}, {start}+{len}) out of bounds (len {})",
+            self.len
+        );
+        let masks = self.masks.each_ref().map(|mask| {
+            crate::packed::shifted_words(
+                |i| mask[i],
+                mask.len(),
+                start / 64,
+                (start % 64) as u32,
+                len.div_ceil(64),
+            )
+        });
+        BaseMasks::from_raw_parts(masks, len).expect("word count computed from len")
+    }
+
     /// The position bitmap of an IUPAC class: the OR of its member base
     /// bitmaps, equal to [`PackedSeq::match_mask`] on the same sequence.
     pub fn class_mask(&self, class: IupacCode) -> Vec<u64> {
@@ -486,6 +510,16 @@ mod tests {
                     scanner.candidates_from_blocked(&masks, 8).iter().collect();
                 assert_eq!(from_masks_blocked, direct, "blocked, len {len}");
             }
+        }
+    }
+
+    #[test]
+    fn base_masks_range_equals_building_the_range() {
+        let text = seq(&"GATTACAGGCCTAGGTT".repeat(11)); // 187 bases
+        let masks = BaseMasks::build(&PackedSeq::from_seq(&text));
+        for (start, len) in [(0, 0), (0, 187), (1, 63), (63, 65), (64, 64), (100, 87), (186, 1)] {
+            let expect = BaseMasks::build(&PackedSeq::from_seq(&text.subseq(start..start + len)));
+            assert_eq!(masks.range(start, len), expect, "{start}+{len}");
         }
     }
 

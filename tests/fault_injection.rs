@@ -15,9 +15,10 @@
 //!   counters (`faults_injected`, `chunks_retried`, `chunks_failed`,
 //!   `degraded_paths`).
 //!
-//! Every test takes the global [`FailScenario`] lock, so the tier is
-//! serialized within this binary and cannot leak injection state into
-//! other tests.
+//! Every test takes the global [`FailScenario`] lock — for its clean
+//! baseline too ([`baseline`]) — so the tier is serialized within this
+//! binary: no baseline meets faults armed by a test on another thread,
+//! and no injection state leaks into other tests.
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::engines::{
@@ -29,6 +30,12 @@ use crispr_offtarget::genome::{fasta, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
 use crispr_offtarget::guides::{io as guide_io, Guide, Pam};
 use crispr_offtarget::model::SearchMetrics;
+
+/// Runs a clean baseline under the scenario lock with nothing armed.
+fn baseline<T>(run: impl FnOnce() -> T) -> T {
+    let _unarmed = FailScenario::setup("");
+    run()
+}
 
 /// A multi-contig planted workload big enough to split into many chunks.
 fn workload(seed: u64, k: usize) -> (Genome, Vec<Guide>) {
@@ -44,7 +51,7 @@ fn chunk_panics_heal_to_clean_hits_and_counters() {
     let (genome, guides) = workload(201, 2);
     let engine = ParallelEngine::new(BitParallelEngine::new(), 4);
     let mut clean_m = SearchMetrics::default();
-    let clean = engine.search_metered(&genome, &guides, 2, &mut clean_m).unwrap();
+    let clean = baseline(|| engine.search_metered(&genome, &guides, 2, &mut clean_m).unwrap());
 
     // Three guaranteed panics, then the site exhausts: the default retry
     // budget (3 re-queues per chunk) absorbs them all.
@@ -67,7 +74,7 @@ fn chunk_panics_heal_to_clean_hits_and_counters() {
 fn chunk_error_faults_heal_like_panics() {
     let (genome, guides) = workload(211, 1);
     let engine = ParallelEngine::new(CasOffinderCpuEngine::new(), 3);
-    let clean = engine.search(&genome, &guides, 1).unwrap();
+    let clean = baseline(|| engine.search(&genome, &guides, 1).unwrap());
 
     let _scenario = FailScenario::setup("parallel.chunk=error:1.0,11,2");
     let mut m = SearchMetrics::default();
@@ -112,7 +119,7 @@ fn exhausted_retries_report_partial_with_provenance() {
 fn one_poisoned_chunk_still_recovers_the_rest() {
     let (genome, guides) = workload(203, 2);
     let engine = ParallelEngine::new(BitParallelEngine::new(), 4).with_retry_limit(0);
-    let clean = engine.search(&genome, &guides, 2).unwrap();
+    let clean = baseline(|| engine.search(&genome, &guides, 2).unwrap());
 
     // Exactly one fire, no retries allowed: one chunk fails, every other
     // chunk's hits are still aggregated into the partial report.
@@ -136,7 +143,7 @@ fn one_poisoned_chunk_still_recovers_the_rest() {
 #[test]
 fn build_site_faults_degrade_instead_of_failing() {
     let (genome, guides) = workload(204, 2);
-    let truth = ScalarEngine::new().search(&genome, &guides, 2).unwrap();
+    let truth = baseline(|| ScalarEngine::new().search(&genome, &guides, 2).unwrap());
 
     // (spec, engine): the batched path owns the shared seed automaton
     // (multiseed.build); the per-guide path owns the PAM-anchor
@@ -178,13 +185,15 @@ fn io_site_faults_surface_as_structured_errors() {
 #[test]
 fn every_site_armed_at_once_heals_to_clean_hits() {
     let (genome, guides) = workload(205, 2);
-    let clean = OffTargetSearch::new(genome.clone())
-        .guides(guides.clone())
-        .max_mismatches(2)
-        .platform(Platform::CpuBitParallel)
-        .threads(4)
-        .run()
-        .unwrap();
+    let clean = baseline(|| {
+        OffTargetSearch::new(genome.clone())
+            .guides(guides.clone())
+            .max_mismatches(2)
+            .platform(Platform::CpuBitParallel)
+            .threads(4)
+            .run()
+            .unwrap()
+    });
 
     let _scenario = FailScenario::setup(
         "parallel.chunk=panic:1.0,17,2;prefilter.build=error;multiseed.build=panic;\
@@ -227,7 +236,7 @@ fn rotating_seed_probabilistic_faults_heal() {
         std::env::var("FAULT_SEED").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(0xFA017);
     let (genome, guides) = workload(207, 2);
     let engine = ParallelEngine::new(BitParallelEngine::new(), 4).with_retry_limit(8);
-    let clean = engine.search(&genome, &guides, 2).unwrap();
+    let clean = baseline(|| engine.search(&genome, &guides, 2).unwrap());
 
     let _scenario = FailScenario::setup(&format!("parallel.chunk=panic:0.3,{seed},6"));
     let mut m = SearchMetrics::default();

@@ -17,8 +17,12 @@ use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{DnaSeq, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
+use crispr_offtarget::guides::io as guide_io;
 use crispr_offtarget::guides::{Guide, Pam};
 use crispr_offtarget::model::SearchMetrics;
+use crispr_offtarget::serve::{engine_names, ServeConfig, Server};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -351,4 +355,77 @@ fn cli_index_build_and_indexed_search_match_direct_tsv() {
         stderr.contains("checksum") || stderr.contains("corrupt") || stderr.contains("truncated"),
         "untyped index failure: {stderr}"
     );
+}
+
+/// One `POST` round trip to a daemon; returns (status, body).
+fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(stream, "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", body.len())
+        .expect("write head");
+    stream.write_all(body).expect("write body");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read response");
+    let split = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("header/body split");
+    let status = String::from_utf8_lossy(&raw[..split])
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status line");
+    (status, raw[split + 4..].to_vec())
+}
+
+#[test]
+fn index_booted_daemon_answers_like_a_fasta_booted_one() {
+    let (genome, guides) = workload();
+    let index = opened_index(&genome, "serve");
+    let mut body = Vec::new();
+    guide_io::write_guides(&mut body, &guides).unwrap();
+    for scan_threads in [1usize, 3] {
+        let cfg = ServeConfig { scan_threads, ..ServeConfig::default() };
+        let from_fasta = Server::start(genome.clone(), cfg.clone()).unwrap();
+        let from_index = Server::start_indexed(&index, 0.0, cfg).unwrap();
+        for engine in engine_names() {
+            let target = format!("/search?k=2&engine={engine}");
+            let (fasta_status, fasta_tsv) = post(from_fasta.local_addr(), &target, &body);
+            let (index_status, index_tsv) = post(from_index.local_addr(), &target, &body);
+            let at = format!("{engine} scan_threads={scan_threads}");
+            assert_eq!((fasta_status, index_status), (200, 200), "{at}");
+            assert!(fasta_tsv.len() > 100, "{at}: workload plants hits");
+            assert_eq!(
+                String::from_utf8_lossy(&index_tsv),
+                String::from_utf8_lossy(&fasta_tsv),
+                "{at}: index-booted TSV differs"
+            );
+        }
+        for server in [from_fasta, from_index] {
+            server.shutdown();
+            server.join();
+        }
+    }
+}
+
+#[test]
+fn threaded_index_runs_match_fasta_runs_on_every_cpu_platform() {
+    let (genome, guides) = workload();
+    let index = Arc::new(opened_index(&genome, "threaded"));
+    for platform in Platform::ALL.into_iter().filter(|p| !p.is_modeled()) {
+        let run = |search: OffTargetSearch| {
+            search
+                .guides(guides.clone())
+                .max_mismatches(2)
+                .platform(platform)
+                .threads(3)
+                .run()
+                .unwrap_or_else(|e| panic!("{platform}: {e}"))
+        };
+        let direct = run(OffTargetSearch::new(genome.clone()));
+        let indexed = run(OffTargetSearch::from_index(Arc::clone(&index)));
+        assert!(!direct.hits().is_empty(), "{platform}: workload plants hits");
+        assert_eq!(direct.hits(), indexed.hits(), "{platform}: hits differ");
+        assert_eq!(
+            direct.metrics().counters,
+            indexed.metrics().counters,
+            "{platform}: counters differ"
+        );
+    }
 }

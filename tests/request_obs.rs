@@ -153,6 +153,9 @@ fn sample(text: &str, series: &str) -> f64 {
 
 #[test]
 fn every_response_carries_an_id_and_errors_repeat_it_in_the_body() {
+    // This daemon's workers pass the `serve.worker` failpoint too, so it
+    // must not run while another test has a one-shot stall armed there.
+    let _serial = scan_lock();
     let (server, addr) = start(ServeConfig::default());
 
     // A bare request gets a generated id.

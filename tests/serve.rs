@@ -297,3 +297,46 @@ fn healthz_reports_and_shutdown_drains() {
         }
     );
 }
+
+/// The `genome_load` phase the daemon reports on `/metrics`.
+fn genome_load_seconds(addr: SocketAddr) -> f64 {
+    let (status, _, metrics) = request(addr, "GET", "/metrics", &[]);
+    assert_eq!(status, 200);
+    let text = String::from_utf8(metrics).expect("metrics are UTF-8");
+    text.lines()
+        .find_map(|line| line.strip_prefix("offtarget_phase_seconds{phase=\"genome_load\"} "))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no genome_load sample in {text}"))
+}
+
+#[test]
+fn genome_load_reports_chunk_preparation_and_nothing_else() {
+    let _serial = scan_lock();
+    let (_, guides) = workload();
+    let body = guides_body(&guides);
+    // (scan threads, engine): one thread on the default engine scans
+    // each contig straight off the resident packed words — no copy, no
+    // unpack; the DFA engine unpacks every chunk, and two scan threads
+    // split each contig into re-aligned sub-contig copies.
+    for (scan_threads, engine, prepares_chunks) in
+        [(1, None, false), (1, Some("cpu-dfa"), true), (2, None, true)]
+    {
+        let (server, addr) = start(ServeConfig { scan_threads, ..ServeConfig::default() });
+        let target = match engine {
+            Some(engine) => format!("/search?k=2&engine={engine}"),
+            None => "/search?k=2".to_string(),
+        };
+        for _ in 0..2 {
+            let (status, _, _) = request(addr, "POST", &target, &body);
+            assert_eq!(status, 200, "{target}");
+        }
+        let load_s = genome_load_seconds(addr);
+        if prepares_chunks {
+            assert!(load_s > 0.0, "scan_threads={scan_threads} {target}: load unreported");
+        } else {
+            assert_eq!(load_s, 0.0, "scan_threads={scan_threads} {target}: a re-pack came back");
+        }
+        server.shutdown();
+        server.join();
+    }
+}
