@@ -18,12 +18,17 @@
 //! code-speed problem in the named phase, while moved counters mean the
 //! filter cascade itself changed shape.
 //!
+//! The batched engine's k-sweep (k = 0..=4) is gated on its own shape:
+//! no budget may cost more than [`SWEEP_MAX_RATIO`] times the k=2 row of
+//! the same run, so a cliff at either end of the sweep fails the check.
+//!
 //! Usage:
 //!
 //! * `bench_smoke` — print fresh JSON to stdout (redirect to
 //!   `BENCH_cpu.json` to refresh the baseline).
 //! * `bench_smoke --check BENCH_cpu.json` — measure, compare `relative`
-//!   per engine against the baseline file, exit non-zero on regression.
+//!   per engine against the baseline file and the k-sweep against its
+//!   k=2 row, exit non-zero on regression.
 
 use std::time::Instant;
 
@@ -51,14 +56,13 @@ const SEED: u64 = 11;
 /// each engine — including the scalar reference the `relative` column
 /// divides by — gets at least one sample from the same quiet windows.
 const ROUNDS: usize = 7;
-/// Timing rounds for the k-sweep. The sweep is informational (never
-/// gated), so fewer rounds keep the smoke's total wall time bounded.
-const SWEEP_ROUNDS: usize = 3;
+/// Largest allowed ratio of any k's sweep ns/base to the k=2 row's.
+const SWEEP_MAX_RATIO: f64 = 3.0;
 /// Genome size for the on-disk-index rows: 100 Mbp-class, the scale at
 /// which re-deriving per-genome tables on every run visibly dominates a
-/// warm scan's setup. Informational (the check gates only `relative`),
-/// and measured only when regenerating the baseline, so `--check` CI
-/// latency is unchanged.
+/// warm scan's setup. Informational (`--check` never gates it), and
+/// measured only when regenerating the baseline, so `--check` CI latency
+/// is unchanged.
 const INDEX_GENOME_LEN: usize = 100_000_000;
 
 /// One engine's measurement: name, best kernel seconds, and the full
@@ -87,17 +91,6 @@ fn measure() -> Vec<Row> {
         ("cpu-hyperscan", Box::new(BitParallelEngine::new())),
         ("cpu-hyperscan-nofilter", Box::new(BitParallelEngine::without_prefilter())),
         ("cpu-hyperscan-batched", Box::new(BitParallelEngine::batched())),
-        // Forced-backend twins of the batched row: the committed baseline
-        // keeps the portable-fallback-vs-scalar relation visible (and
-        // relatively gated) on every machine, whatever ISA `auto` picks.
-        (
-            "cpu-hyperscan-batched-portable",
-            Box::new(BitParallelEngine::batched().with_simd(SimdBackend::Portable)),
-        ),
-        (
-            "cpu-hyperscan-batched-scalar",
-            Box::new(BitParallelEngine::batched().with_simd(SimdBackend::Scalar)),
-        ),
         ("cpu-nfa", Box::new(NfaEngine::new())),
     ];
     let mut best: Vec<Option<SearchMetrics>> = (0..engines.len()).map(|_| None).collect();
@@ -121,17 +114,16 @@ fn measure() -> Vec<Row> {
         .collect()
 }
 
-/// Mismatch-budget sweep on the batched engine: kernel ns/base at each
-/// k in 0..=4 over the same planted workload. Informational only — the
-/// check never gates it — but it records how the SIMD verify/prefilter
-/// cascade scales as the budget loosens and the filters pass more.
+/// Mismatch-budget sweep on the batched engine: best kernel ns/base at
+/// each k in 0..=4 over the same planted workload — how the anchor,
+/// fragment-lookup and verify cascade scales as the budget loosens.
 fn sweep_batched() -> Vec<(usize, f64)> {
     let (genome, guides, _) = workloads::planted(GENOME_LEN, GUIDES, K, SEED);
     let engine = BitParallelEngine::batched();
     (0..=4)
         .map(|k| {
             let mut best = f64::INFINITY;
-            for _ in 0..SWEEP_ROUNDS {
+            for _ in 0..ROUNDS {
                 let m = metered_run(&engine, &genome, &guides, k);
                 best = best.min(m.phases.kernel_scan_s);
             }
@@ -222,12 +214,13 @@ fn scalar_seconds(rows: &[Row]) -> f64 {
     rows.iter().find(|r| r.name == "cpu-scalar").expect("scalar is measured").kernel_s
 }
 
-/// The SIMD backend the auto-dispatched batched row actually ran, read
-/// back from its `simd_backend` gauge so the baseline records the path
-/// the numbers belong to.
+/// The SIMD backend the auto-dispatched per-guide `cpu-hyperscan` row
+/// actually ran, read back from its `simd_backend` gauge so the baseline
+/// records the path the numbers belong to. (The batched kernel does not
+/// dispatch.)
 fn dispatched_backend(rows: &[Row]) -> &'static str {
     rows.iter()
-        .find(|r| r.name == "cpu-hyperscan-batched")
+        .find(|r| r.name == "cpu-hyperscan")
         .and_then(|r| r.metrics.gauge("simd_backend"))
         .and_then(|v| SimdBackend::ALL.into_iter().find(|b| b.gauge() == v))
         .map_or("unknown", SimdBackend::name)
@@ -297,7 +290,7 @@ fn render(rows: &[Row], sweep: &[(usize, f64)], index: &IndexBench) -> String {
     out
 }
 
-fn check(rows: &[Row], baseline_path: &str) -> Result<(), String> {
+fn check(rows: &[Row], sweep: &[(usize, f64)], baseline_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
     let baseline = json::parse(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
@@ -319,11 +312,23 @@ fn check(rows: &[Row], baseline_path: &str) -> Result<(), String> {
         };
         println!("  {name}: relative {now:.4} vs baseline {was:.4} — {verdict}");
     }
+    let k2 = sweep.iter().find(|&&(k, _)| k == 2).expect("the sweep covers k=2").1;
+    for &(k, ns) in sweep {
+        let ratio = ns / k2;
+        let verdict = if ratio > SWEEP_MAX_RATIO {
+            failures.push(format!("ksweep k={k}"));
+            "CLIFF"
+        } else {
+            "ok"
+        };
+        println!("  ksweep k={k}: {ns:.3} ns/base, {ratio:.2}× k=2 — {verdict}");
+    }
     if failures.is_empty() {
         Ok(())
     } else {
         Err(format!(
-            "{} engine(s) regressed >{:.0}% vs {baseline_path}: {}",
+            "{} check(s) failed (>{:.0}% vs {baseline_path}, or a k-sweep row >{SWEEP_MAX_RATIO}× \
+             k=2): {}",
             failures.len(),
             TOLERANCE * 100.0,
             failures.join(", ")
@@ -350,11 +355,14 @@ fn main() {
             print!("{}", render(&rows, &sweep_batched(), &index));
         }
         [flag, path] if flag == "--check" => {
-            if let Err(msg) = check(&rows, path) {
+            if let Err(msg) = check(&rows, &sweep_batched(), path) {
                 eprintln!("bench-smoke: {msg}");
                 std::process::exit(1);
             }
-            println!("bench-smoke: within {:.0}% of baseline", TOLERANCE * 100.0);
+            println!(
+                "bench-smoke: within {:.0}% of baseline, k-sweep within {SWEEP_MAX_RATIO}× of k=2",
+                TOLERANCE * 100.0
+            );
         }
         _ => {
             eprintln!("usage: bench_smoke [--check BENCH_cpu.json]");

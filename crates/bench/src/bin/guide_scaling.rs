@@ -1,11 +1,11 @@
 //! `guide_scaling` — how kernel time grows with the number of guides.
 //!
-//! The point of the shared seed automaton is that its per-base cost is
-//! (nearly) flat in the guide count: the rolling q-gram register advances
-//! once per base regardless of how many fragments are loaded, and only
-//! the verification work grows with hits. The per-guide engines, by
-//! contrast, pay for every guide at every window, so their kernel time is
-//! linear in the guide count. This sweep measures both paths on the same
+//! The point of the batched cascade is that its per-base cost is
+//! (nearly) flat in the guide count: each PAM-anchored window costs one
+//! table lookup per fragment slot however many fragments are loaded, and
+//! only the verification work grows with proposals. The per-guide
+//! engines, by contrast, pay for every guide at every window, so their
+//! kernel time is linear in the guide count. This sweep measures both paths on the same
 //! planted workload at 100 → 1000 → 10000 guides and prints a markdown
 //! table (for EXPERIMENTS.md) plus the growth factors the issue gates on.
 //!

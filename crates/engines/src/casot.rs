@@ -94,9 +94,10 @@ impl CasotEngine {
         CasotEngine { batched: true, ..CasotEngine::default() }
     }
 
-    /// Forces the SIMD backend the prepared kernels dispatch to; the
+    /// Forces the SIMD backend the per-guide kernels dispatch to; the
     /// default defers to `OFFTARGET_SIMD` and runtime detection (see
-    /// [`crate::simd`]). An unavailable choice degrades to portable.
+    /// [`crate::simd`]). An unavailable choice degrades to portable. The
+    /// batched kernel runs the same code on every backend.
     pub fn with_simd(mut self, backend: SimdBackend) -> CasotEngine {
         self.simd = Some(backend);
         self
@@ -292,16 +293,16 @@ impl Engine for CasotEngine {
         let pattern_list = patterns(guides);
         // A seed mismatch limit tightens the hit set; the shared automaton
         // computes the engine-common semantics only, so it must not engage.
-        let backend = crate::simd::resolve(self.simd);
         let mut degraded = 0;
         if self.batched && self.seed_mismatch_limit.is_none() {
             let scan = guarded_accel("multiseed.build", &mut degraded, || {
-                MultiSeedScan::build_with(&pattern_list, site_len, k, backend)
+                MultiSeedScan::build(&pattern_list, site_len, k)
             });
             if let Some(scan) = scan {
                 return Ok(Box::new(MultiSeedPrepared::new(scan)));
             }
         }
+        let backend = crate::simd::resolve(self.simd);
         let plan = if self.prefilter {
             guarded_accel("prefilter.build", &mut degraded, || anchor_plan(&pattern_list, site_len))
         } else {

@@ -1,164 +1,225 @@
-//! Batched multi-guide scanning: one shared seed automaton serves the
-//! whole guide set in a single pass over the genome.
+//! Batched multi-guide scanning: one pass over the genome serves the
+//! whole guide set.
 //!
 //! The per-guide engines pay anchor-and-verify work per pattern at every
 //! PAM-anchored window, so kernel time grows linearly with guide count —
 //! the opposite of the paper's AP model, where thousands of guide
 //! automata consume one streamed genome together. This module restores
-//! that shape on the CPU with a three-stage cascade:
+//! that shape on the CPU with a three-stage cascade that runs the
+//! cheapest, most selective test first:
 //!
-//! 1. **Shared seed automaton.** Each pattern's counted (spacer) run is
-//!    split into `k + 1` pigeonhole fragments (a window within `k`
-//!    mismatches must match at least one fragment *exactly* — the same
-//!    guarantee [`crate::PigeonholeEngine`] uses per guide). The
-//!    fragments of *every* pattern are compiled together into one
-//!    multi-pattern exact matcher. Because fragments of one length form
-//!    an Aho–Corasick automaton whose every state is at depth `< len`,
-//!    the matcher collapses to a rolling 2-bit register
-//!    ([`crispr_genome::kmer::QGramRoller`]) plus a transition-indexed
-//!    fragment table — the dense-DFA specialization of Aho–Corasick for
-//!    equal-length patterns. One pass over the slice drives all guides'
-//!    fragments at once; cost per symbol is one register update and one
-//!    table probe per distinct fragment length (at most a few), plus one
-//!    visit per matching fragment occurrence.
-//! 2. **PAM-anchor intersection.** Every seed match proposes a
-//!    `(pattern, window start)` pair; the pair survives only if the
-//!    window also passes the pattern's PAM-anchor signature, tested as
-//!    one bit of the shared [`crispr_genome::pamindex::CandidateMask`]
-//!    (computed once per slice per signature group, exactly as in
-//!    [`crate::prefilter`]).
-//! 3. **Packed verification.** Survivors go to the same single-XOR
-//!    packed Hamming verifier the prefiltered engines use; the anchor
-//!    already proved the PAM, so `Some(mm ≤ k)` is exactly a hit.
+//! 1. **PAM-anchor intersection.** Patterns are grouped by PAM-anchor
+//!    signature, and each group's
+//!    [`CandidateMask`](crispr_genome::pamindex::CandidateMask) marks the
+//!    window starts whose anchor positions all match — one bitwise pass
+//!    over the base bitmaps per group, exactly as in [`crate::prefilter`].
+//!    Only these anchored windows (about 1/16 of positions per `NGG`
+//!    strand) go further, just as the paper's automata require the PAM
+//!    before they report a site.
+//! 2. **Fragment lookup.** Each pattern's counted (spacer) run is split
+//!    into `k + 1` pigeonhole fragments (a window within `k` mismatches
+//!    must match at least one fragment *exactly* — the same guarantee
+//!    [`crate::PigeonholeEngine`] uses per guide). Within a group the
+//!    fragments are tabulated per *slot*, keyed by the fragment's
+//!    `(offset, length)` inside the window: a slot maps a fragment code to
+//!    the patterns whose fragment sits there. An anchored window is read
+//!    once as a packed word (batched sites are at most 32 bases), and each
+//!    slot then costs one shift-and-mask and one lookup, whatever the
+//!    guide count — a dense CSR table for fragments of up to 8 bases, a
+//!    small open-addressed table behind a presence filter for longer ones.
+//! 3. **Packed verification.** Each distinct proposed pattern is verified
+//!    once against the same window word: one shift, one XOR and one
+//!    popcount. The anchor already proved the PAM, so `Some(mm ≤ k)` is
+//!    exactly a hit.
 //!
-//! A streaming per-pattern window dedup (64-bit mask of recent window
-//! offsets) collapses the multiple seed fragments that rediscover one
-//! site — without it, overlap windows yield duplicate raw hits and
-//! double-counted verifier work. Results are byte-identical to every
-//! other engine; `multiseed_candidates` / `multiseed_positions` meter
-//! the seed stage and the `guides_per_candidate` derived gauge reports
-//! its fan-in.
+//! Several fragments of one pattern can fire at one window; a per-pattern
+//! stamp of the last window that proposed it keeps that to one verify.
+//! Results are byte-identical to every other engine;
+//! `multiseed_candidates` / `multiseed_positions` meter the lookup stage
+//! and the `guides_per_candidate` derived gauge reports its fan-in.
 
 use crate::engine::AnchorGroup;
 use crate::prefilter::PackedPattern;
-use crate::simd::{self, SimdBackend};
 use crate::EngineError;
-use crispr_genome::kmer::{pack_qgram, QGramRoller};
-use crispr_genome::pamindex::{BaseMasks, CandidateMask};
+use crispr_genome::kmer::pack_qgram;
+use crispr_genome::pamindex::BaseMasks;
 use crispr_genome::{Base, PackedSeq};
 use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
-use std::collections::HashMap;
 use std::time::Instant;
 
-/// Largest fragment length tabulated as a dense transition table
-/// (`4^len` slots); longer fragments fall back to a hashed code lookup.
-const DIRECT_LEN_MAX: usize = 10;
+/// Longest fragment looked up in a dense table: `4^8` codes, 256 KiB of
+/// CSR offsets per slot. Longer fragments (k = 0 and 1 on 20-nt spacers)
+/// go to a [`SparseTable`].
+const DENSE_LEN_MAX: usize = 8;
 
-/// One compiled fragment occurrence: the pattern it belongs to and the
-/// distance from the fragment's last base back to the site start
-/// (`site_start = end + 1 - back`).
-#[derive(Debug, Clone, Copy)]
-struct SeedEntry {
-    pattern: u32,
-    back: u32,
+/// Size of a [`SparseTable`]'s presence filter, as a power of two in bits.
+const FILTER_BITS: u32 = 16;
+
+/// Multiplicative hash of a fragment code; the presence-filter bit and the
+/// first probed bucket both come from its top bits.
+#[inline]
+fn mix(code: u64) -> u64 {
+    code.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Code → entry-range resolution for one fragment length.
+/// Code → pattern range for fragments too long for a dense table: an
+/// open-addressed table behind a `2^16`-bit presence filter, so the
+/// common miss costs one multiply and one predictable bit test.
 #[derive(Debug)]
-enum SeedLookup {
+struct SparseTable {
+    filter: Vec<u64>,
+    /// `(code, lo, hi)` buckets, probed linearly; `lo == hi` marks an
+    /// empty bucket.
+    buckets: Vec<(u64, u32, u32)>,
+    /// `64 − log2(buckets.len())`: shifts a hash down to a bucket index.
+    shift: u32,
+}
+
+impl SparseTable {
+    /// Tabulates distinct codes with their (non-empty) pattern ranges.
+    fn new(runs: &[(u64, u32, u32)]) -> SparseTable {
+        let size = (2 * runs.len()).next_power_of_two().max(2);
+        let mut table = SparseTable {
+            filter: vec![0; 1 << (FILTER_BITS - 6)],
+            buckets: vec![(0, 0, 0); size],
+            shift: 64 - size.trailing_zeros(),
+        };
+        for &(code, lo, hi) in runs {
+            let hash = mix(code);
+            let bit = (hash >> (64 - FILTER_BITS)) as usize;
+            table.filter[bit / 64] |= 1 << (bit % 64);
+            let mut i = (hash >> table.shift) as usize;
+            while table.buckets[i].1 != table.buckets[i].2 {
+                i = (i + 1) & (size - 1);
+            }
+            table.buckets[i] = (code, lo, hi);
+        }
+        table
+    }
+
+    /// The pattern range of `code`; empty when it is not tabulated.
+    #[inline]
+    fn range(&self, code: u64) -> (u32, u32) {
+        let hash = mix(code);
+        let bit = (hash >> (64 - FILTER_BITS)) as usize;
+        if self.filter[bit / 64] >> (bit % 64) & 1 == 0 {
+            return (0, 0);
+        }
+        let wrap = self.buckets.len() - 1;
+        let mut i = (hash >> self.shift) as usize;
+        loop {
+            let (key, lo, hi) = self.buckets[i];
+            if lo == hi || key == code {
+                return (lo, hi);
+            }
+            i = (i + 1) & wrap;
+        }
+    }
+}
+
+/// Code → pattern-range resolution of one [`Slot`].
+#[derive(Debug)]
+enum Lookup {
     /// CSR offsets over all `4^len` codes.
-    Direct(Vec<u32>),
-    /// Sparse `code → (start, end)` ranges for large code spaces.
-    Hashed(HashMap<u64, (u32, u32)>),
+    Dense(Vec<u32>),
+    /// Filtered open addressing over the codes present.
+    Sparse(SparseTable),
 }
 
-/// All fragments of one length, resolvable per rolling code.
-#[derive(Debug)]
-struct SeedTable {
+/// One pigeonhole fragment of one pattern. The field order is the sort
+/// order that lays a group's fragments out slot by slot, code by code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Fragment {
+    /// Start within the site window.
+    offset: usize,
+    /// Length in bases.
     len: usize,
-    lookup: SeedLookup,
-    entries: Vec<SeedEntry>,
+    /// The bases in [`pack_qgram`] layout.
+    code: u64,
+    pattern: u32,
 }
 
-impl SeedTable {
+/// The fragments that sit at one `(offset, length)` of an anchor group's
+/// windows, keyed by fragment code.
+#[derive(Debug)]
+struct Slot {
+    /// Fragment start within the site window.
+    offset: usize,
+    /// Fragment length in bases.
+    len: usize,
+    lookup: Lookup,
+    /// Pattern indices, grouped by fragment code in lookup order.
+    patterns: Vec<u32>,
+}
+
+impl Slot {
+    /// Tabulates one slot's fragments: sorted, all at one offset and
+    /// length.
+    fn new(frags: &[Fragment]) -> Slot {
+        let (offset, len) = (frags[0].offset, frags[0].len);
+        let patterns = frags.iter().map(|f| f.pattern).collect();
+        let lookup = if len <= DENSE_LEN_MAX {
+            let mut offsets = vec![0u32; (1 << (2 * len)) + 1];
+            for f in frags {
+                offsets[f.code as usize + 1] += 1;
+            }
+            for i in 1..offsets.len() {
+                offsets[i] += offsets[i - 1];
+            }
+            Lookup::Dense(offsets)
+        } else {
+            let mut runs = Vec::new();
+            let mut lo = 0u32;
+            for run in frags.chunk_by(|a, b| a.code == b.code) {
+                let hi = lo + run.len() as u32;
+                runs.push((run[0].code, lo, hi));
+                lo = hi;
+            }
+            Lookup::Sparse(SparseTable::new(&runs))
+        };
+        Slot { offset, len, lookup, patterns }
+    }
+
+    /// The patterns whose fragment in this slot matches `site`, a site
+    /// window read as one word, exactly.
     #[inline]
-    fn entries_for(&self, code: u64) -> &[SeedEntry] {
-        match &self.lookup {
-            SeedLookup::Direct(offsets) => {
-                let i = code as usize;
-                &self.entries[offsets[i] as usize..offsets[i + 1] as usize]
-            }
-            SeedLookup::Hashed(map) => {
-                map.get(&code).map_or(&[], |&(a, b)| &self.entries[a as usize..b as usize])
-            }
-        }
+    fn proposals(&self, site: u64) -> &[u32] {
+        let code = (site >> (2 * self.offset)) & (u64::MAX >> (64 - 2 * self.len));
+        let (lo, hi) = match &self.lookup {
+            Lookup::Dense(offsets) => (offsets[code as usize], offsets[code as usize + 1]),
+            Lookup::Sparse(table) => table.range(code),
+        };
+        &self.patterns[lo as usize..hi as usize]
     }
 }
 
-/// Streaming dedup of `(window start)` sightings along one left-to-right
-/// scan: a 64-bit mask of starts relative to the latest seed end. Works
-/// because a fragment's end trails its window start by at most
-/// `site_len ≤ 64` bases, so a repeated sighting always lands within the
-/// mask's horizon.
-#[derive(Debug, Clone, Copy, Default)]
-struct RecentWindows {
-    last_end: u64,
-    mask: u64,
-}
-
-impl RecentWindows {
-    /// Returns true exactly once per distinct window start, feeding
-    /// sightings in non-decreasing `end` order with `rel = end - start`
-    /// (strictly below 64).
-    #[inline]
-    fn first_sight(&mut self, end: u64, rel: u32) -> bool {
-        let delta = end - self.last_end;
-        if delta > 0 {
-            self.mask = if delta >= 64 { 0 } else { self.mask << delta };
-            self.last_end = end;
-        }
-        let bit = 1u64 << rel;
-        let fresh = self.mask & bit == 0;
-        self.mask |= bit;
-        fresh
-    }
-}
-
-/// The compiled batched deployment for one pattern set: the shared seed
-/// automaton, the anchor groups it intersects with, and one packed
-/// verifier per pattern. Built once, scans any number of slices; shared
-/// across every `batched()` engine.
+/// The compiled batched deployment for one pattern set: the anchor
+/// groups, each group's fragment slots, and one packed verifier per
+/// pattern. Built once, scans any number of slices; shared across every
+/// `batched()` engine.
 #[derive(Debug)]
 pub struct MultiSeedScan {
-    /// One table per distinct fragment length (at most two for evenly
-    /// segmented spacers).
-    tables: Vec<SeedTable>,
     /// `(scanner, member pattern indices)` per PAM-anchor signature.
     groups: Vec<AnchorGroup>,
-    /// Pattern index → its group's index.
-    group_of: Vec<u32>,
+    /// Fragment slots per group, indexed like `groups`.
+    slots: Vec<Vec<Slot>>,
     /// Packed verifiers indexed like the pattern list.
     verifiers: Vec<PackedPattern>,
     site_len: usize,
     k: usize,
     /// Total fragment occurrences compiled in.
     seeds_total: usize,
-    /// Accepting states of the shared automaton: distinct fragment codes.
+    /// Distinct `(length, code)` fragments: the accepting states of the
+    /// equivalent multi-pattern automaton.
     states: usize,
     /// Summed per-group anchor hit rate (the `anchor_rate` gauge value).
     rate: f64,
-    /// The kernel backend resolved at build time. `Scalar` runs the
-    /// original rolling-register loop; anything else runs the blocked
-    /// seed screen when every table is dense ([`SeedLookup::Direct`]).
-    backend: SimdBackend,
 }
 
-/// Register-local counter accumulators for one `scan_slice` call, flushed
-/// into [`SearchMetrics`] once at the end — a read-modify-write through
-/// the metrics struct per candidate costs measurably at high guide
-/// counts. Shared by the scalar and screened scan paths so their counter
-/// events are identical by construction.
+/// Register-local counter accumulators for one cascade pass, flushed into
+/// [`SearchMetrics`] once at the end — a read-modify-write through the
+/// metrics struct per proposal costs measurably at high guide counts.
 #[derive(Default)]
 struct ScanTallies {
     candidates: u64,
@@ -172,124 +233,80 @@ impl MultiSeedScan {
     /// Compiles the batched deployment for `patterns` at budget `k`, or
     /// `None` when batching does not apply and the caller should fall
     /// back to its per-guide path: a pattern is unanchorable
-    /// (`Pam::none()`) or does not lower to the packed compare, an
-    /// anchor falls outside the window, the site exceeds 64 bases (the
-    /// dedup-mask horizon), or the pigeonhole split is infeasible
-    /// (fewer counted bases than `k + 1` segments, or a fragment longer
-    /// than the 32-base q-gram limit).
+    /// (`Pam::none()`) or does not lower to the packed compare, an anchor
+    /// falls outside the window, the site exceeds 32 bases (the kernel
+    /// reads each anchored window as one packed word), or the pigeonhole
+    /// split is infeasible (fewer counted bases than `k + 1` segments).
     pub fn build(patterns: &[SitePattern], site_len: usize, k: usize) -> Option<MultiSeedScan> {
-        MultiSeedScan::build_with(patterns, site_len, k, simd::resolve(None))
-    }
-
-    /// [`MultiSeedScan::build`] with an explicit kernel backend — the
-    /// entry point for engines that resolve dispatch once per `prepare()`
-    /// and share the choice across their compiled stages.
-    pub fn build_with(
-        patterns: &[SitePattern],
-        site_len: usize,
-        k: usize,
-        backend: SimdBackend,
-    ) -> Option<MultiSeedScan> {
-        if patterns.is_empty() || site_len > 64 {
+        if patterns.is_empty() || site_len > 32 {
             return None;
         }
         let verifiers: Vec<PackedPattern> =
             patterns.iter().map(PackedPattern::new).collect::<Option<_>>()?;
         // Unlike the per-guide prefilter there is no maximum-rate cutoff:
-        // the seed automaton is the primary filter and the anchor mask
-        // only prunes its matches, so it pays at any PAM density.
+        // every pattern is verified only where the anchor holds, so the
+        // anchor pays at any PAM density.
         let groups = crate::engine::anchor_groups(patterns, f64::INFINITY)?;
         if groups.iter().any(|(scanner, _)| scanner.span() > site_len) {
             return None;
         }
-        let mut group_of = vec![0u32; patterns.len()];
-        for (gi, (_, members)) in groups.iter().enumerate() {
-            for &pi in members {
-                group_of[pi] = gi as u32;
-            }
-        }
 
         // Pigeonhole split: k+1 near-equal fragments of each pattern's
-        // counted run, bucketed by fragment length.
-        let mut by_len: Vec<(usize, Vec<(u64, SeedEntry)>)> = Vec::new();
-        for (pi, pattern) in patterns.iter().enumerate() {
-            let counted: Vec<(usize, Base)> = pattern
-                .positions()
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.counted)
-                .map(|(i, p)| (i, p.class.bases().next().expect("spacer bases are concrete")))
-                .collect();
-            let n = counted.len();
-            let segments = k + 1;
-            if n < segments {
-                return None;
-            }
-            for s in 0..segments {
-                let lo = s * n / segments;
-                let hi = (s + 1) * n / segments;
-                let len = hi - lo;
-                if len > 32 {
+        // counted run, tabulated per group by their place in the window.
+        // The run is contiguous (`PackedPattern::new` checked it), so a
+        // fragment's bases are `offset..offset + len` of the window.
+        let segments = k + 1;
+        let mut slots = Vec::with_capacity(groups.len());
+        let mut codes: Vec<(usize, u64)> = Vec::new();
+        for (_, members) in &groups {
+            let mut frags = Vec::with_capacity(members.len() * segments);
+            for &pi in members {
+                let counted: Vec<(usize, Base)> = patterns[pi]
+                    .positions()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| p.counted)
+                    .map(|(i, p)| (i, p.class.bases().next().expect("spacer bases are concrete")))
+                    .collect();
+                let n = counted.len();
+                if n < segments {
                     return None;
                 }
-                let bases: Vec<Base> = counted[lo..hi].iter().map(|&(_, b)| b).collect();
-                let qgram = pack_qgram(&bases);
-                let entry = SeedEntry { pattern: pi as u32, back: (len + counted[lo].0) as u32 };
-                match by_len.iter_mut().find(|(l, _)| *l == len) {
-                    Some((_, frags)) => frags.push((qgram, entry)),
-                    None => by_len.push((len, vec![(qgram, entry)])),
+                for s in 0..segments {
+                    let run = &counted[s * n / segments..(s + 1) * n / segments];
+                    let bases: Vec<Base> = run.iter().map(|&(_, b)| b).collect();
+                    let code = pack_qgram(&bases);
+                    codes.push((run.len(), code));
+                    frags.push(Fragment {
+                        offset: run[0].0,
+                        len: run.len(),
+                        code,
+                        pattern: pi as u32,
+                    });
                 }
             }
+            frags.sort_unstable();
+            slots.push(
+                frags
+                    .chunk_by(|a, b| (a.offset, a.len) == (b.offset, b.len))
+                    .map(Slot::new)
+                    .collect(),
+            );
         }
-
-        let mut tables = Vec::with_capacity(by_len.len());
-        let mut seeds_total = 0usize;
-        let mut states = 0usize;
-        for (len, mut frags) in by_len {
-            frags.sort_unstable_by_key(|&(q, e)| (q, e.pattern, e.back));
-            seeds_total += frags.len();
-            states += frags.windows(2).filter(|w| w[0].0 != w[1].0).count()
-                + usize::from(!frags.is_empty());
-            let entries: Vec<SeedEntry> = frags.iter().map(|&(_, e)| e).collect();
-            let lookup = if len <= DIRECT_LEN_MAX {
-                let slots = 1usize << (2 * len);
-                let mut offsets = vec![0u32; slots + 1];
-                for &(q, _) in &frags {
-                    offsets[q as usize + 1] += 1;
-                }
-                for i in 1..offsets.len() {
-                    offsets[i] += offsets[i - 1];
-                }
-                SeedLookup::Direct(offsets)
-            } else {
-                let mut map: HashMap<u64, (u32, u32)> = HashMap::new();
-                let mut i = 0;
-                while i < frags.len() {
-                    let code = frags[i].0;
-                    let mut j = i + 1;
-                    while j < frags.len() && frags[j].0 == code {
-                        j += 1;
-                    }
-                    map.insert(code, (i as u32, j as u32));
-                    i = j;
-                }
-                SeedLookup::Hashed(map)
-            };
-            tables.push(SeedTable { len, lookup, entries });
-        }
+        let seeds_total = codes.len();
+        codes.sort_unstable();
+        codes.dedup();
 
         let rate = crate::engine::anchor_rate(&groups);
         Some(MultiSeedScan {
-            tables,
             groups,
-            group_of,
+            slots,
             verifiers,
             site_len,
             k,
             seeds_total,
-            states,
+            states: codes.len(),
             rate,
-            backend,
         })
     }
 
@@ -317,13 +334,13 @@ impl MultiSeedScan {
         self.k
     }
 
-    /// Total fragment occurrences compiled into the automaton.
+    /// Total fragment occurrences compiled in.
     pub fn seeds(&self) -> usize {
         self.seeds_total
     }
 
-    /// Accepting states of the shared automaton (distinct fragment
-    /// codes across all lengths).
+    /// Distinct fragments across all slots — the accepting states of the
+    /// equivalent multi-pattern automaton.
     pub fn states(&self) -> usize {
         self.states
     }
@@ -333,62 +350,38 @@ impl MultiSeedScan {
         self.rate
     }
 
-    /// The kernel backend this deployment dispatches to.
-    pub fn backend(&self) -> SimdBackend {
-        self.backend
-    }
-
-    /// Enumerates the seed stage alone: every distinct in-bounds
-    /// `(pattern index, window start)` pair whose window fires at least
-    /// one of the pattern's fragments, sorted. This is the raw automaton
-    /// output *before* the anchor intersection and verification — the
-    /// surface the pigeonhole property tests probe.
+    /// Enumerates the fragment stage alone: every distinct
+    /// `(pattern index, window start)` pair whose window matches at least
+    /// one of the pattern's fragments exactly, sorted. It reads the slot
+    /// tables the kernel reads, but at *every* window start, before the
+    /// anchor intersection and verification — the surface the pigeonhole
+    /// property tests probe.
     pub fn seed_candidates(&self, seq: &[Base]) -> Vec<(u32, usize)> {
         let mut out = Vec::new();
         if seq.len() < self.site_len {
             return out;
         }
-        self.for_each_seed_match(seq, |pattern, start| out.push((pattern, start)));
+        let packed = PackedSeq::from_bases(seq);
+        for start in 0..=seq.len() - self.site_len {
+            let site = packed.window_word(start, self.site_len);
+            for slot in self.slots.iter().flatten() {
+                out.extend(slot.proposals(site).iter().map(|&p| (p, start)));
+            }
+        }
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Drives the seed automaton over `seq`, invoking `sink` for every
-    /// in-bounds fragment match (duplicates included).
-    #[inline]
-    fn for_each_seed_match(&self, seq: &[Base], mut sink: impl FnMut(u32, usize)) {
-        let mut rollers: Vec<QGramRoller> =
-            self.tables.iter().map(|t| QGramRoller::new(t.len)).collect();
-        for (end, &base) in seq.iter().enumerate() {
-            for (table, roller) in self.tables.iter().zip(&mut rollers) {
-                let code = roller.push(base);
-                if end + 1 < table.len {
-                    continue;
-                }
-                for entry in table.entries_for(code) {
-                    let back = entry.back as usize;
-                    if end + 1 < back {
-                        continue;
-                    }
-                    let start = end + 1 - back;
-                    if start + self.site_len > seq.len() {
-                        continue;
-                    }
-                    sink(entry.pattern, start);
-                }
-            }
-        }
-    }
-
     /// Scans one slice through the full cascade, appending slice-relative
     /// hits. Counter semantics relative to the per-guide anchored scan on
-    /// the same slice: `windows_scanned` is identical,
-    /// `candidates_verified` is identical (both count exactly the hits),
-    /// `pam_anchors_tested` and `early_exits` count a *subset* of the
-    /// per-guide events (only windows the seed automaton proposed), and
-    /// `multiseed_candidates` / `multiseed_positions` meter the seed
-    /// stage itself.
+    /// the same slice: `windows_scanned` and `candidates_verified` are
+    /// identical (the latter counts exactly the hits), and
+    /// `pam_anchors_tested` / `early_exits` count the subset of its events
+    /// whose window matched one of the pattern's fragments.
+    /// `multiseed_candidates` counts fragment matches at anchored windows
+    /// and `multiseed_positions` the anchored windows (one per anchor
+    /// group) with at least one.
     pub(crate) fn scan_slice(&self, seq: &[Base], out: &mut Vec<Hit>, m: &mut SearchMetrics) {
         if seq.len() < self.site_len {
             return;
@@ -427,30 +420,49 @@ impl MultiSeedScan {
     ) {
         let scan_start = Instant::now();
         m.counters.windows_scanned += (packed.len() + 1 - self.site_len) as u64;
-        let scalar = self.backend == SimdBackend::Scalar;
-        let masks: Vec<CandidateMask> = self
-            .groups
-            .iter()
-            .map(|(scanner, _)| match (stored, scalar) {
-                (None, true) => scanner.candidates(packed, self.site_len),
-                (None, false) => scanner.candidates_blocked(packed, self.site_len),
-                (Some(bits), true) => scanner.candidates_from(bits, self.site_len),
-                (Some(bits), false) => scanner.candidates_from_blocked(bits, self.site_len),
-            })
-            .collect();
-        // Per-pattern streaming dedup: without it, a site matching two of
-        // a pattern's fragments is verified and emitted twice (the
-        // chunk-overlap duplicate class the batched regression tests pin
-        // down).
-        let mut seen = vec![RecentWindows::default(); self.verifiers.len()];
-        let mut any_seen = RecentWindows::default();
+        // The last window start that proposed each pattern. A pattern
+        // belongs to one group and each group visits a start once, so a
+        // matching stamp means another of its fragments already proposed
+        // this window.
+        let mut last = vec![usize::MAX; self.verifiers.len()];
         let mut tallies = ScanTallies::default();
-        let screened = self.backend != SimdBackend::Scalar
-            && self.tables.iter().all(|t| matches!(t.lookup, SeedLookup::Direct(_)));
-        if screened {
-            self.scan_screened(packed, &masks, &mut seen, &mut any_seen, &mut tallies, out);
-        } else {
-            self.scan_rolling(packed, &masks, &mut seen, &mut any_seen, &mut tallies, out);
+        for ((scanner, _), slots) in self.groups.iter().zip(&self.slots) {
+            let anchored = match stored {
+                Some(bits) => scanner.candidates_from_blocked(bits, self.site_len),
+                None => scanner.candidates_blocked(packed, self.site_len),
+            };
+            for start in &anchored {
+                let site = packed.window_word(start, self.site_len);
+                let mut fired = false;
+                for slot in slots {
+                    let proposed = slot.proposals(site);
+                    tallies.candidates += proposed.len() as u64;
+                    fired |= !proposed.is_empty();
+                    for &pattern in proposed {
+                        let pattern = pattern as usize;
+                        if last[pattern] == start {
+                            continue;
+                        }
+                        last[pattern] = start;
+                        tallies.pam_tested += 1;
+                        let verifier = &self.verifiers[pattern];
+                        match verifier.verify_site(site, self.k) {
+                            Some(mm) => {
+                                tallies.verified += 1;
+                                out.push(Hit {
+                                    contig: 0,
+                                    pos: start as u64,
+                                    guide: verifier.guide_index(),
+                                    strand: verifier.strand(),
+                                    mismatches: mm as u8,
+                                });
+                            }
+                            None => tallies.early += 1,
+                        }
+                    }
+                }
+                tallies.positions += u64::from(fired);
+            }
         }
         m.counters.multiseed_candidates += tallies.candidates;
         m.counters.multiseed_positions += tallies.positions;
@@ -458,164 +470,6 @@ impl MultiSeedScan {
         m.counters.candidates_verified += tallies.verified;
         m.counters.early_exits += tallies.early;
         m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
-    }
-
-    /// The original scalar seed loop: one rolling register per table, one
-    /// table probe per symbol per table, symbols read a packed word at a
-    /// time.
-    fn scan_rolling(
-        &self,
-        packed: &PackedSeq,
-        masks: &[CandidateMask],
-        seen: &mut [RecentWindows],
-        any_seen: &mut RecentWindows,
-        tallies: &mut ScanTallies,
-        out: &mut Vec<Hit>,
-    ) {
-        let mut rollers: Vec<QGramRoller> =
-            self.tables.iter().map(|t| QGramRoller::new(t.len)).collect();
-        for (wi, &word) in packed.words().iter().enumerate() {
-            let first = wi * 32;
-            let mut lanes = word;
-            for end in first..(first + 32).min(packed.len()) {
-                let base = Base::from_code(lanes as u8);
-                lanes >>= 2;
-                for (table, roller) in self.tables.iter().zip(&mut rollers) {
-                    let code = roller.push(base);
-                    if end + 1 < table.len {
-                        continue;
-                    }
-                    self.visit_entries(
-                        table, code, end, packed, masks, seen, any_seen, tallies, out,
-                    );
-                }
-            }
-        }
-    }
-
-    /// The blocked seed loop: stage (c) of the SIMD cascade. Per table,
-    /// a vector of q-gram registers is materialised 32 window codes at a
-    /// time and screened against the dense offset table for emptiness
-    /// ([`simd::direct_seed_bitmap`]); the per-table fire bitmaps are
-    /// merged into one end-indexed union, and only symbol positions where
-    /// some fragment actually fires reach the entry walk. The walk visits
-    /// `(end, table)` pairs in exactly the scalar order — ends ascending,
-    /// tables in index order — which the [`RecentWindows`] dedup requires,
-    /// and skipped visits are precisely those with an empty entry range,
-    /// which touch no state in the scalar loop either. On random DNA at
-    /// seed length 5, ~5 of 6 positions never reach the walk.
-    fn scan_screened(
-        &self,
-        packed: &PackedSeq,
-        masks: &[CandidateMask],
-        seen: &mut [RecentWindows],
-        any_seen: &mut RecentWindows,
-        tallies: &mut ScanTallies,
-        out: &mut Vec<Hit>,
-    ) {
-        let len = packed.len();
-        let mut merged = vec![0u64; len.div_ceil(64)];
-        let mut fires: Vec<Vec<u64>> = Vec::with_capacity(self.tables.len());
-        for table in &self.tables {
-            let q = table.len;
-            if len < q {
-                fires.push(Vec::new());
-                continue;
-            }
-            let n_starts = len + 1 - q;
-            let mut bits = vec![0u64; n_starts.div_ceil(64)];
-            let SeedLookup::Direct(offsets) = &table.lookup else {
-                unreachable!("screened path requires direct tables")
-            };
-            simd::direct_seed_bitmap(self.backend, packed, n_starts, q, offsets, &mut bits);
-            // Start-indexed fires become end-indexed: end = start + q − 1.
-            simd::or_shifted_left(&mut merged, &bits, q - 1);
-            fires.push(bits);
-        }
-        for (wi, &mword) in merged.iter().enumerate() {
-            let mut rem = mword;
-            while rem != 0 {
-                let end = wi * 64 + rem.trailing_zeros() as usize;
-                rem &= rem - 1;
-                for (ti, table) in self.tables.iter().enumerate() {
-                    let q = table.len;
-                    if end + 1 < q {
-                        continue;
-                    }
-                    let start = end + 1 - q;
-                    let bits = &fires[ti];
-                    if bits.is_empty() || bits[start / 64] >> (start % 64) & 1 == 0 {
-                        continue;
-                    }
-                    let code = packed.window_word(start, q);
-                    self.visit_entries(
-                        table, code, end, packed, masks, seen, any_seen, tallies, out,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Walks one `(table, code, end)` probe — the shared tail of both scan
-    /// paths, so counter events, dedup-state updates, and emitted hits are
-    /// identical by construction.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn visit_entries(
-        &self,
-        table: &SeedTable,
-        code: u64,
-        end: usize,
-        packed: &PackedSeq,
-        masks: &[CandidateMask],
-        seen: &mut [RecentWindows],
-        any_seen: &mut RecentWindows,
-        tallies: &mut ScanTallies,
-        out: &mut Vec<Hit>,
-    ) {
-        for entry in table.entries_for(code) {
-            let back = entry.back as usize;
-            if end + 1 < back {
-                continue;
-            }
-            let start = end + 1 - back;
-            if start + self.site_len > packed.len() {
-                continue;
-            }
-            tallies.candidates += 1;
-            let rel = (end - start) as u32;
-            if any_seen.first_sight(end as u64, rel) {
-                tallies.positions += 1;
-            }
-            let pattern = entry.pattern as usize;
-            // Anchor intersection first: a two-load bit test that
-            // rejects most candidates, so the per-pattern dedup
-            // state is only touched for windows that can still
-            // verify. The filters commute — the same distinct
-            // (pattern, window) pairs survive in either order —
-            // so `pam_anchors_tested` is unchanged.
-            if !masks[self.group_of[pattern] as usize].contains(start) {
-                continue;
-            }
-            if !seen[pattern].first_sight(end as u64, rel) {
-                continue;
-            }
-            tallies.pam_tested += 1;
-            let verifier = &self.verifiers[pattern];
-            match verifier.verify(packed, start, self.k) {
-                Some(mm) => {
-                    tallies.verified += 1;
-                    out.push(Hit {
-                        contig: 0,
-                        pos: start as u64,
-                        guide: verifier.guide_index(),
-                        strand: verifier.strand(),
-                        mismatches: mm as u8,
-                    });
-                }
-                None => tallies.early += 1,
-            }
-        }
     }
 }
 
@@ -666,7 +520,6 @@ impl crate::engine::PreparedSearch for MultiSeedPrepared {
         m.set_gauge("anchor_rate", self.scan.rate);
         m.set_gauge("seed_automaton_states", self.scan.states as f64);
         m.set_gauge("multiseed_seeds", self.scan.seeds_total as f64);
-        m.set_gauge("simd_backend", self.scan.backend.gauge());
     }
 }
 
@@ -675,7 +528,7 @@ mod tests {
     use super::*;
     use crate::engine::{patterns, ScalarEngine};
     use crate::Engine;
-    use crispr_guides::{Pam, SitePattern};
+    use crispr_guides::Pam;
 
     fn guides(pam: Pam) -> Vec<Guide> {
         vec![
@@ -712,7 +565,7 @@ mod tests {
                 spacer_len: 4
             }))
         ));
-        // 40-base spacer at k=0 needs one 40-base fragment (> 32).
+        // A 40-base spacer makes a 43-base site, longer than one word.
         let long = vec![Guide::new("l", "ACGT".repeat(10).parse().unwrap(), Pam::ngg()).unwrap()];
         assert!(MultiSeedScan::from_guides(&long, 0).unwrap().is_none());
     }
@@ -744,10 +597,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_scan_matches_slice_scan_on_every_backend() {
-        // k = 0 seeds are whole 20-base spacers (the hashed, rolling
-        // path on every backend); k ≥ 1 seeds are dense-table fragments
-        // (screened on vector backends, rolling on `Scalar`).
+    fn packed_scan_matches_slice_scan() {
+        // k = 0 and 1 fragments (20 and 10 bases) take the sparse lookup,
+        // k ≥ 2 fragments the dense one.
         for k in 0..=4usize {
             let (genome, guide_set, _) = crate::engine::test_support::planted_workload(311, k);
             let contig = genome.contigs()[0].seq().as_slice();
@@ -761,31 +613,29 @@ mod tests {
                 &contig[..site_len - 1],
                 &contig[..5],
             ];
-            for backend in SimdBackend::ALL.into_iter().filter(|b| b.available()) {
-                let scan = MultiSeedScan::build_with(&patterns(&guide_set), site_len, k, backend)
-                    .expect("planted guides batch");
-                for seq in slices {
-                    let packed = PackedSeq::from_bases(seq);
-                    let masks = BaseMasks::build(&packed);
-                    let (mut slice_hits, mut slice_m) = (Vec::new(), SearchMetrics::default());
-                    scan.scan_slice(seq, &mut slice_hits, &mut slice_m);
-                    let (mut packed_hits, mut packed_m) = (Vec::new(), SearchMetrics::default());
-                    scan.scan_packed(&packed, &masks, &mut packed_hits, &mut packed_m);
-                    let at = format!("k={k} backend={} len={}", backend.name(), seq.len());
-                    assert_eq!(packed_hits, slice_hits, "{at}");
-                    assert_eq!(packed_m.counters, slice_m.counters, "{at}");
-                    if seq.len() == contig.len() {
-                        assert!(!slice_hits.is_empty(), "{at}: workload plants hits");
-                    }
+            let scan = MultiSeedScan::build(&patterns(&guide_set), site_len, k)
+                .expect("planted guides batch");
+            for seq in slices {
+                let packed = PackedSeq::from_bases(seq);
+                let masks = BaseMasks::build(&packed);
+                let (mut slice_hits, mut slice_m) = (Vec::new(), SearchMetrics::default());
+                scan.scan_slice(seq, &mut slice_hits, &mut slice_m);
+                let (mut packed_hits, mut packed_m) = (Vec::new(), SearchMetrics::default());
+                scan.scan_packed(&packed, &masks, &mut packed_hits, &mut packed_m);
+                let at = format!("k={k} len={}", seq.len());
+                assert_eq!(packed_hits, slice_hits, "{at}");
+                assert_eq!(packed_m.counters, slice_m.counters, "{at}");
+                if seq.len() == contig.len() {
+                    assert!(!slice_hits.is_empty(), "{at}: workload plants hits");
                 }
             }
         }
     }
 
     #[test]
-    fn streaming_dedup_is_exact() {
+    fn window_stamp_dedup_is_exact() {
         // A window matching a pattern everywhere fires all its fragments,
-        // yet each (pattern, start) must be emitted exactly once per hit.
+        // yet each (pattern, start) must be verified and emitted once.
         let g = vec![Guide::new("g", "AAAAAAAAAAAAAAAAAAAA".parse().unwrap(), Pam::ngg()).unwrap()];
         let scan = MultiSeedScan::from_guides(&g, 3).unwrap().unwrap();
         let text: crispr_genome::DnaSeq =
@@ -793,34 +643,68 @@ mod tests {
         let mut m = SearchMetrics::default();
         let mut hits = Vec::new();
         scan.scan_slice(text.as_slice(), &mut hits, &mut m);
-        // Every fragment of the all-A pattern fires at the planted site,
-        // so candidates exceed verified pairs …
-        assert!(m.counters.multiseed_candidates > m.counters.candidates_verified);
-        // … but each (pos, guide, strand) appears at most once.
-        let mut keys: Vec<_> = hits.iter().map(|h| (h.pos, h.guide, h.strand)).collect();
-        keys.sort_unstable();
-        let deduped = keys.len();
-        keys.dedup();
-        assert_eq!(keys.len(), deduped, "duplicate raw hits slipped through: {hits:?}");
-        assert_eq!(m.counters.candidates_verified, hits.len() as u64);
+        // The one anchored window fires all four fragments …
+        assert_eq!(m.counters.multiseed_candidates, 4);
+        assert_eq!(m.counters.multiseed_positions, 1);
+        // … but reaches the verifier once.
+        assert_eq!(m.counters.pam_anchors_tested, 1);
+        assert_eq!(m.counters.candidates_verified, 1);
+        assert_eq!(hits.len(), 1);
     }
 
     #[test]
-    fn recent_windows_dedup_horizon() {
-        let mut seen = RecentWindows::default();
-        assert!(seen.first_sight(5, 2));
-        assert!(!seen.first_sight(5, 2));
-        // Same start revisited from a later end: rel grows by the delta.
-        assert!(!seen.first_sight(8, 5));
-        assert!(seen.first_sight(8, 2));
-        // A jump beyond the horizon clears the mask without overflowing.
-        assert!(seen.first_sight(500, 2));
+    fn sparse_table_finds_every_code_and_only_those() {
+        let codes: Vec<u64> =
+            (0..700u64).map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 24).collect();
+        let runs: Vec<(u64, u32, u32)> =
+            codes.iter().enumerate().map(|(i, &c)| (c, i as u32, i as u32 + 1)).collect();
+        let table = SparseTable::new(&runs);
+        for &(code, lo, hi) in &runs {
+            assert_eq!(table.range(code), (lo, hi), "code {code:#x}");
+        }
+        for probe in (0..5_000u64).map(|i| i * 7_919 + 3) {
+            if !codes.contains(&probe) {
+                assert_eq!(table.range(probe), (0, 0), "absent code {probe:#x}");
+            }
+        }
+        // Code 0 is a valid fragment (all A) and must not alias an empty
+        // bucket.
+        let zero = SparseTable::new(&[(0, 0, 2)]);
+        assert_eq!(zero.range(0), (0, 2));
+        assert_eq!(zero.range(1), (0, 0));
     }
 
     #[test]
-    fn fragment_backs_map_ends_to_site_starts() {
+    fn mixed_layouts_share_anchor_groups_with_their_own_slots() {
+        // A 20-nt spacer with NGG and a 21-nt spacer with GG carry the
+        // same anchors (G at 21–22 forward, C at 0–1 reverse) but place
+        // their fragments at different offsets.
+        let guide_set = vec![
+            Guide::new("ngg", "GATTACAGATTACAGATTAC".parse().unwrap(), Pam::ngg()).unwrap(),
+            Guide::new(
+                "gg",
+                "ACGTTGCAACGTTGCAACGTA".parse().unwrap(),
+                Pam::new("GG", crispr_guides::PamSide::Three).unwrap(),
+            )
+            .unwrap(),
+        ];
+        for k in 0..=4usize {
+            let scan = MultiSeedScan::from_guides(&guide_set, k).unwrap().expect("batches");
+            assert_eq!(scan.groups.len(), 2, "k={k}: one group per strand");
+            for (slots, (_, members)) in scan.slots.iter().zip(&scan.groups) {
+                assert_eq!(members.len(), 2, "k={k}: both guides share the anchor");
+                let keys: std::collections::BTreeSet<(usize, usize)> =
+                    slots.iter().map(|s| (s.offset, s.len)).collect();
+                assert_eq!(keys.len(), slots.len(), "k={k}: one slot per (offset, len)");
+                assert!(slots.len() > k + 1, "k={k}: the layouts need their own slots");
+            }
+        }
+    }
+
+    #[test]
+    fn fragment_offsets_map_to_site_starts() {
         // Reverse-strand NGG patterns carry their counted run at offsets
-        // 3..23; fragment backs must account for that.
+        // 3..23; fragment offsets must account for that.
         let g = Guide::new("g", "GATTACAGATTACAGATTAC".parse().unwrap(), Pam::ngg()).unwrap();
         let pats = patterns(std::slice::from_ref(&g));
         let scan = MultiSeedScan::build(&pats, 23, 1).unwrap();
@@ -834,13 +718,13 @@ mod tests {
     }
 
     #[test]
-    fn hashed_lookup_handles_long_fragments() {
+    fn sparse_lookup_handles_long_fragments() {
         // 24-base spacer at k=0 → one 24-base fragment, beyond the dense
         // table limit.
         let g =
             vec![Guide::new("g", "GATTACAGATTACAGATTACGATT".parse().unwrap(), Pam::ngg()).unwrap()];
         let scan = MultiSeedScan::from_guides(&g, 0).unwrap().unwrap();
-        assert!(scan.tables.iter().any(|t| matches!(t.lookup, SeedLookup::Hashed(_))));
+        assert!(scan.slots.iter().flatten().all(|s| matches!(s.lookup, Lookup::Sparse(_))));
         let genome = crispr_genome::Genome::from_seq(
             format!("TTTT{}TGGAAAA", "GATTACAGATTACAGATTACGATT").parse().unwrap(),
         );
@@ -853,9 +737,11 @@ mod tests {
     }
 
     #[test]
-    fn site_pattern_entrypoint_rejects_oversized_sites() {
-        let g = Guide::new("g", "A".repeat(70).parse().unwrap(), Pam::ngg()).unwrap();
-        let pats: Vec<SitePattern> = patterns(std::slice::from_ref(&g));
-        assert!(MultiSeedScan::build(&pats, pats[0].len(), 1).is_none());
+    fn sites_longer_than_a_word_fall_back() {
+        for spacer_len in [30usize, 70] {
+            let g = Guide::new("g", "A".repeat(spacer_len).parse().unwrap(), Pam::ngg()).unwrap();
+            let pats = patterns(std::slice::from_ref(&g));
+            assert!(MultiSeedScan::build(&pats, pats[0].len(), 1).is_none(), "{spacer_len}");
+        }
     }
 }

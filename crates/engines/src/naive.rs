@@ -105,9 +105,10 @@ impl CasOffinderCpuEngine {
         CasOffinderCpuEngine { prefilter: true, batched: true, simd: None }
     }
 
-    /// Forces the SIMD backend the prepared kernels dispatch to; the
+    /// Forces the SIMD backend the per-guide kernels dispatch to; the
     /// default defers to `OFFTARGET_SIMD` and runtime detection (see
-    /// [`crate::simd`]). An unavailable choice degrades to portable.
+    /// [`crate::simd`]). An unavailable choice degrades to portable. The
+    /// batched kernel runs the same code on every backend.
     pub fn with_simd(mut self, backend: SimdBackend) -> CasOffinderCpuEngine {
         self.simd = Some(backend);
         self
@@ -232,16 +233,16 @@ impl Engine for CasOffinderCpuEngine {
     fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
         let site_len = validate_guides(guides, k)?;
         let pattern_list = patterns(guides);
-        let backend = crate::simd::resolve(self.simd);
         let mut degraded = 0;
         if self.batched {
             let scan = guarded_accel("multiseed.build", &mut degraded, || {
-                MultiSeedScan::build_with(&pattern_list, site_len, k, backend)
+                MultiSeedScan::build(&pattern_list, site_len, k)
             });
             if let Some(scan) = scan {
                 return Ok(Box::new(MultiSeedPrepared::new(scan)));
             }
         }
+        let backend = crate::simd::resolve(self.simd);
         let anchored = if self.prefilter {
             guarded_accel("prefilter.build", &mut degraded, || {
                 AnchoredScan::build(&pattern_list, site_len, backend)

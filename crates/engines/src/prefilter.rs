@@ -75,22 +75,25 @@ impl PackedPattern {
         self.strand
     }
 
-    /// Verifies the window at `start` of `packed` (PAM positions assumed
-    /// already proven by an anchor pass): `Some(mm)` with the exact spacer
-    /// mismatch count when `mm ≤ k`, `None` past the budget. Single-XOR
-    /// fast path when the spacer fits one 2-bit word.
+    /// Verifies one site window read as a single word (base `i` of the
+    /// window at bits `2i`; PAM positions assumed already proven by an
+    /// anchor pass): `Some(mm)` with the exact spacer mismatch count when
+    /// `mm ≤ k`, `None` past the budget. One shift, one XOR and one
+    /// popcount, so the batched kernel reads each anchored window once
+    /// however many patterns it proposes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spacer does not fit one word; the batched kernel
+    /// only takes sites of at most 32 bases.
     #[inline]
-    pub(crate) fn verify(&self, packed: &PackedSeq, start: usize, k: usize) -> Option<usize> {
-        match self.word {
-            Some(word) => {
-                let window = packed.window_word(start + self.spacer_offset, self.spacer.len());
-                let diff = window ^ word;
-                let lanes = (diff | (diff >> 1)) & 0x5555_5555_5555_5555;
-                let mm = lanes.count_ones() as usize;
-                (mm <= k).then_some(mm)
-            }
-            None => packed.count_mismatches(&self.spacer, start + self.spacer_offset, k),
-        }
+    pub(crate) fn verify_site(&self, site: u64, k: usize) -> Option<usize> {
+        let word = self.word.expect("batched sites fit one word");
+        let spacer =
+            (site >> (2 * self.spacer_offset)) & (u64::MAX >> (64 - 2 * self.spacer.len()));
+        let diff = spacer ^ word;
+        let mm = ((diff | (diff >> 1)) & 0x5555_5555_5555_5555).count_ones() as usize;
+        (mm <= k).then_some(mm)
     }
 }
 

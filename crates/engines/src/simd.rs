@@ -1,13 +1,12 @@
-//! Runtime-dispatched SIMD kernels for the three hot loops of the CPU
-//! engines: the blocked window verifier (XOR + even-lane collapse +
-//! per-lane POPCNT over 4–8 candidate windows at once), the q-gram
-//! seed-table emptiness screen (a vector of rolling registers materialised
-//! as 32 window codes per packed word, gathered against the direct CSR
-//! offset table), and the 256-bit blocked PAM-bitmap intersection (which
-//! lives in [`crispr_genome::pamindex`] as width-generic portable code —
-//! profiling shows the compiler already lowers it well, so explicit
-//! intrinsics are reserved for the two loops codegen cannot reach: the
-//! gather probe and the lane popcount).
+//! Runtime-dispatched SIMD kernels for the hot loops of the per-guide
+//! CPU engines: the blocked window verifier (XOR + even-lane collapse +
+//! per-lane POPCNT over 8 candidate windows at once) and the 256-bit
+//! blocked PAM-bitmap intersection (which lives in
+//! [`crispr_genome::pamindex`] as width-generic portable code — profiling
+//! shows the compiler already lowers it well, so explicit intrinsics are
+//! reserved for the lane popcount codegen cannot reach). The batched
+//! kernel ([`crate::multiseed`]) verifies one proposed window at a time
+//! and does not dispatch.
 //!
 //! Backends are selected **once per `prepare()`** via [`resolve`]:
 //! an explicit engine override beats the `OFFTARGET_SIMD` environment
@@ -21,10 +20,9 @@
 //! output and identical counter events to the scalar path. SIMD changes
 //! how many lanes a loop touches per iteration, never what a lane means;
 //! the differential-oracle suite runs the same workloads through forced
-//! `portable`/`scalar` twins to pin that.
+//! `portable` twins to pin that.
 
-use crispr_genome::kmer::qgram_codes32;
-use crispr_genome::{hamming_lanes, PackedSeq};
+use crispr_genome::hamming_lanes;
 
 /// Candidate windows verified per blocked-verifier iteration.
 pub(crate) const BLOCK: usize = 8;
@@ -32,8 +30,8 @@ pub(crate) const BLOCK: usize = 8;
 /// The instruction set a prepared search's kernels dispatch to.
 ///
 /// `Scalar` reproduces the pre-SIMD code paths exactly (one window per
-/// iteration, rolling q-gram registers); the other three run the blocked
-/// kernels, differing only in how a block is computed.
+/// iteration); the other three run the blocked kernels, differing only in
+/// how a block is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
     /// The original one-lane-at-a-time loops; the differential baseline.
@@ -42,11 +40,9 @@ pub enum SimdBackend {
     /// autovectorizer can widen, and the exact fallback semantics the
     /// explicit ISAs must match.
     Portable,
-    /// x86_64 AVX2: 256-bit XOR/AND, variable per-lane shifts, 8-byte
-    /// gathers against the seed offset table, nibble-LUT popcount.
+    /// x86_64 AVX2: 256-bit XOR/AND and a nibble-LUT popcount.
     Avx2,
-    /// aarch64 NEON: 128-bit pairs with `vcnt`+`vpaddl` popcount chains;
-    /// table probes stay scalar (NEON has no gather).
+    /// aarch64 NEON: 128-bit pairs with `vcnt`+`vpaddl` popcount chains.
     Neon,
 }
 
@@ -162,88 +158,9 @@ pub(crate) fn mismatch_counts(
     }
 }
 
-/// Sets bit `s` of `out` for every window start `s < n_starts` whose
-/// `q`-gram code has a non-empty entry range in the dense CSR `offsets`
-/// table (`offsets.len() == 4^q + 1`): the vector-of-rolling-registers
-/// seed screen. `packed` supplies the 2-bit word storage; bits at or past
-/// `n_starts` are cleared on return.
-pub(crate) fn direct_seed_bitmap(
-    backend: SimdBackend,
-    packed: &PackedSeq,
-    n_starts: usize,
-    q: usize,
-    offsets: &[u32],
-    out: &mut [u64],
-) {
-    debug_assert_eq!(offsets.len(), (1usize << (2 * q)) + 1);
-    debug_assert!(out.len() >= n_starts.div_ceil(64));
-    debug_assert!(out.iter().all(|&w| w == 0));
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe {
-            avx2::seed_bitmap(packed.words(), n_starts, q, offsets, out)
-        },
-        _ => portable_seed_bitmap(packed.words(), n_starts, q, offsets, out),
-    }
-    if !n_starts.is_multiple_of(64) {
-        out[n_starts / 64] &= (1u64 << (n_starts % 64)) - 1;
-    }
-}
-
-/// Portable block seed screen: 32 window codes per packed word via
-/// [`qgram_codes32`], one table probe per lane.
-fn portable_seed_bitmap(
-    words: &[u64],
-    n_starts: usize,
-    q: usize,
-    offsets: &[u32],
-    out: &mut [u64],
-) {
-    let mut codes = [0u64; 32];
-    for (w, &lo) in words.iter().enumerate() {
-        let base = w * 32;
-        if base >= n_starts {
-            break;
-        }
-        let hi = words.get(w + 1).copied().unwrap_or(0);
-        qgram_codes32(lo, hi, q, &mut codes);
-        let lanes = (n_starts - base).min(32);
-        let mut bits = 0u64;
-        for (i, &code) in codes[..lanes].iter().enumerate() {
-            if offsets[code as usize] != offsets[code as usize + 1] {
-                bits |= 1u64 << i;
-            }
-        }
-        // base is a multiple of 32, so the block lands in one out word at
-        // bit offset 0 or 32.
-        out[base / 64] |= bits << (base % 64);
-    }
-}
-
-/// `dst |= src << shift` at bit granularity across word arrays: merges a
-/// start-indexed per-table fire bitmap into an end-indexed union (window
-/// end = start + q − 1). Bits shifted past `dst` are dropped.
-pub(crate) fn or_shifted_left(dst: &mut [u64], src: &[u64], shift: usize) {
-    let word_shift = shift / 64;
-    let bit_shift = shift % 64;
-    for (i, &w) in src.iter().enumerate() {
-        if w == 0 {
-            continue;
-        }
-        let di = i + word_shift;
-        if di < dst.len() {
-            dst[di] |= w << bit_shift;
-        }
-        if bit_shift != 0 && di + 1 < dst.len() {
-            dst[di + 1] |= w >> (64 - bit_shift);
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::BLOCK;
-    use crispr_genome::kmer::qgram_codes32;
     use std::arch::x86_64::*;
 
     /// AVX2 lane verifier: two 4×64 halves; XOR against the broadcast
@@ -281,77 +198,6 @@ mod avx2 {
             }
         }
     }
-
-    /// AVX2 seed screen: per packed word, 8 groups of 4 lanes. Each lane
-    /// extracts one window code with variable per-lane shifts
-    /// (`vpsrlvq`/`vpsllvq` — counts ≥ 64 yield 0, which makes the
-    /// `bit == 0` straddle case safe), then one 8-byte gather at byte
-    /// offset `4·code` fetches `offsets[code]` and `offsets[code + 1]`
-    /// together; equal halves mean an empty entry range.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available. `offsets.len()` must be
-    /// `4^q + 1` so every gather (at index `code ≤ 4^q − 1`) reads the
-    /// pair in bounds.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn seed_bitmap(
-        words: &[u64],
-        n_starts: usize,
-        q: usize,
-        offsets: &[u32],
-        out: &mut [u64],
-    ) {
-        let code_mask = if q == 32 { u64::MAX } else { (1u64 << (2 * q)) - 1 };
-        let vmask = _mm256_set1_epi64x(code_mask as i64);
-        let lo32 = _mm256_set1_epi64x(0xFFFF_FFFFu64 as i64);
-        let sixty_four = _mm256_set1_epi64x(64);
-        let table = offsets.as_ptr() as *const i64;
-        let mut scalar_codes = [0u64; 32];
-        for (w, &word) in words.iter().enumerate() {
-            let base = w * 32;
-            if base >= n_starts {
-                break;
-            }
-            if w + 1 >= words.len() {
-                // Tail word: lanes that would read a next word are past
-                // the sequence end; take the portable path for the block.
-                qgram_codes32(word, 0, q, &mut scalar_codes);
-                let lanes = (n_starts - base).min(32);
-                let mut bits = 0u64;
-                for (i, &code) in scalar_codes[..lanes].iter().enumerate() {
-                    if offsets[code as usize] != offsets[code as usize + 1] {
-                        bits |= 1u64 << i;
-                    }
-                }
-                out[base / 64] |= bits << (base % 64);
-                continue;
-            }
-            let lo = _mm256_set1_epi64x(word as i64);
-            let hi = _mm256_set1_epi64x(words[w + 1] as i64);
-            let mut bits = 0u64;
-            for group in 0..8u64 {
-                let sh = _mm256_setr_epi64x(
-                    (8 * group) as i64,
-                    (8 * group + 2) as i64,
-                    (8 * group + 4) as i64,
-                    (8 * group + 6) as i64,
-                );
-                let low = _mm256_srlv_epi64(lo, sh);
-                let high = _mm256_sllv_epi64(hi, _mm256_sub_epi64(sixty_four, sh));
-                let code = _mm256_and_si256(_mm256_or_si256(low, high), vmask);
-                let pair = _mm256_i64gather_epi64::<4>(table, code);
-                let first = _mm256_and_si256(pair, lo32);
-                let second = _mm256_srli_epi64::<32>(pair);
-                let empty = _mm256_cmpeq_epi64(first, second);
-                let nonempty = (!_mm256_movemask_pd(_mm256_castsi256_pd(empty)) & 0xF) as u64;
-                bits |= nonempty << (4 * group);
-            }
-            // Lanes past n_starts are garbage here; the caller's final
-            // tail clear removes them.
-            out[base / 64] |= bits << (base % 64);
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -386,7 +232,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crispr_genome::DnaSeq;
+    use crispr_genome::{DnaSeq, PackedSeq};
 
     fn packed(text: &str) -> PackedSeq {
         PackedSeq::from_seq(&text.parse::<DnaSeq>().unwrap())
@@ -446,63 +292,6 @@ mod tests {
                 let mut got = [0u32; BLOCK];
                 mismatch_counts(backend, &windows, pattern, &mut got);
                 assert_eq!(got, reference, "backend {} block {block_start}", backend.name());
-            }
-        }
-    }
-
-    #[test]
-    fn seed_bitmap_backends_agree_with_direct_probe() {
-        for (len, seed, q) in [(70usize, 7u64, 3usize), (256, 11, 5), (513, 13, 5), (1000, 17, 6)] {
-            let genome = synth(len, seed);
-            // A table marking ~1/8 of codes non-empty, CSR style.
-            let codes = 1usize << (2 * q);
-            let mut offsets = vec![0u32; codes + 1];
-            let mut running = 0u32;
-            for (c, slot) in offsets.iter_mut().enumerate().take(codes) {
-                *slot = running;
-                if c % 8 == 3 {
-                    running += 1 + (c % 3) as u32;
-                }
-            }
-            offsets[codes] = running;
-            let n_starts = len + 1 - q;
-            for backend in SimdBackend::ALL {
-                if !backend.available() {
-                    continue;
-                }
-                let mut bits = vec![0u64; n_starts.div_ceil(64)];
-                direct_seed_bitmap(backend, &genome, n_starts, q, &offsets, &mut bits);
-                for s in 0..n_starts {
-                    let code = genome.window_word(s, q) as usize;
-                    let expect = offsets[code] != offsets[code + 1];
-                    let got = bits[s / 64] >> (s % 64) & 1 == 1;
-                    assert_eq!(got, expect, "backend {} len {len} q {q} start {s}", backend.name());
-                }
-                // No bits past n_starts.
-                if !n_starts.is_multiple_of(64) {
-                    assert_eq!(bits[n_starts / 64] >> (n_starts % 64), 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn or_shifted_left_matches_bit_semantics() {
-        let src = vec![0x8000_0000_0000_0001u64, 0xDEAD_BEEF_0000_FFFF, 0x1];
-        for shift in [0usize, 1, 4, 31, 63, 64, 65, 100] {
-            let mut dst = vec![0u64; 4];
-            or_shifted_left(&mut dst, &src, shift);
-            for bit in 0..(src.len() * 64) {
-                let set = src[bit / 64] >> (bit % 64) & 1 == 1;
-                let target = bit + shift;
-                if target >= dst.len() * 64 {
-                    continue;
-                }
-                assert_eq!(
-                    dst[target / 64] >> (target % 64) & 1 == 1,
-                    set,
-                    "shift {shift} bit {bit}"
-                );
             }
         }
     }

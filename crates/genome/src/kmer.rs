@@ -20,35 +20,13 @@ pub fn pack_qgram(bases: &[Base]) -> u64 {
     value
 }
 
-/// Rolls a whole vector of q-gram registers at once: `out[i]` becomes the
-/// code of the `q`-base window starting at base `32·w + i`, computed from
-/// the packed words `lo = words[w]` and `hi = words[w + 1]` of a
-/// [`crate::PackedSeq`]. Pass `hi = 0` when no next word exists; lanes
-/// whose window would cross into the missing word are garbage and must be
-/// discarded by the caller (they correspond to starts past the sequence
-/// end). Lane `i`'s code is bits `[2i, 2i + 2q)` of the 128-bit
-/// concatenation `hi:lo` — exactly what a scalar [`QGramRoller`] holds
-/// after pushing the window's last base, so block extraction and rolling
-/// produce identical codes.
-pub fn qgram_codes32(lo: u64, hi: u64, q: usize, out: &mut [u64; 32]) {
-    assert!((1..=32).contains(&q), "q must be within 1..=32");
-    let mask = if q == 32 { u64::MAX } else { (1u64 << (2 * q)) - 1 };
-    for (i, slot) in out.iter_mut().enumerate() {
-        let sh = 2 * i as u32;
-        let low = lo >> sh;
-        let high = if sh == 0 { 0 } else { hi << (64 - sh) };
-        *slot = (low | high) & mask;
-    }
-}
-
 /// A streaming rolling q-gram register: feed bases left to right and read
 /// back the packed code of the window *ending* at the fed base.
 ///
-/// This is the one-pass primitive both [`QGramIndex`] construction and
-/// multi-pattern seed scanning share: per symbol it costs a shift, an OR
-/// and a mask, and after `q` symbols the register always holds the code
-/// of the latest window in [`pack_qgram`] layout (base `i` of the window
-/// at bits `2i`).
+/// This is the one-pass primitive of [`QGramIndex`] construction: per
+/// symbol it costs a shift, an OR and a mask, and after `q` symbols the
+/// register always holds the code of the latest window in [`pack_qgram`]
+/// layout (base `i` of the window at bits `2i`).
 ///
 /// ```
 /// use crispr_genome::kmer::{pack_qgram, QGramRoller};
@@ -409,31 +387,5 @@ mod tests {
     #[should_panic(expected = "1..=12")]
     fn dense_rejects_oversized_q() {
         let _ = DenseQGrams::build(&seq("ACGT"), DENSE_Q_MAX + 1);
-    }
-
-    #[test]
-    fn block_codes_match_roller() {
-        use crate::PackedSeq;
-        let text = seq(&"GATTACAGGCCTAGGTACGT".repeat(5)); // 100 bases
-        let packed = PackedSeq::from_seq(&text);
-        let words = packed.words();
-        for q in [1usize, 2, 5, 13, 31, 32] {
-            let mut codes = [0u64; 32];
-            for w in 0..words.len() {
-                let hi = words.get(w + 1).copied().unwrap_or(0);
-                qgram_codes32(words[w], hi, q, &mut codes);
-                for (lane, &code) in codes.iter().enumerate() {
-                    let start = 32 * w + lane;
-                    if start + q > text.len() {
-                        break;
-                    }
-                    assert_eq!(
-                        code,
-                        pack_qgram(&text.as_slice()[start..start + q]),
-                        "q={q} start={start}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -66,14 +66,16 @@ pub struct EngineCounters {
     pub bit_steps: u64,
     /// Comparisons abandoned early once the mismatch budget was exceeded.
     pub early_exits: u64,
-    /// `(pattern, window)` candidate pairs emitted by the shared
-    /// multi-guide seed automaton (batched engines only), before the
-    /// PAM-anchor intersection and before per-pattern deduplication.
+    /// Fragment hits at PAM-anchored windows (batched engines only): one
+    /// per `(pattern, fragment)` whose pigeonhole fragment matches an
+    /// anchored window exactly, before per-pattern deduplication — a
+    /// window matching two fragments of one pattern counts twice here and
+    /// once in `pam_anchors_tested`.
     pub multiseed_candidates: u64,
-    /// Distinct window positions at which the shared seed automaton fired
-    /// for at least one pattern (batched engines only). Together with
-    /// `multiseed_candidates` this yields the `guides_per_candidate`
-    /// gauge.
+    /// Anchored windows with at least one fragment hit (batched engines
+    /// only), counted once per anchor group whose PAM the window carries.
+    /// Together with `multiseed_candidates` this yields the
+    /// `guides_per_candidate` gauge.
     pub multiseed_positions: u64,
     /// Candidates fully verified by a scoring pass.
     pub candidates_verified: u64,
@@ -357,8 +359,9 @@ impl SearchMetrics {
     /// Sets the gauges that are ratios of finished counters, once all
     /// slices (and, for parallel deployments, all workers) have been
     /// folded in. Today that is `guides_per_candidate` — the mean number
-    /// of `(pattern, window)` pairs the shared seed automaton dispatched
-    /// per distinct candidate window, the batched path's fan-in measure.
+    /// of fragment hits per anchored window that had any
+    /// (`multiseed_candidates / multiseed_positions`), the batched path's
+    /// fan-in measure.
     /// Search drivers call this after merging; per-slice code cannot,
     /// because worker-local gauges are not merged upward.
     pub fn finalize_derived_gauges(&mut self) {

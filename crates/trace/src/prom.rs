@@ -41,12 +41,12 @@ pub fn render(metrics: &SearchMetrics) -> String {
         ("early_exits", "Comparisons abandoned over the mismatch budget.", c.early_exits),
         (
             "multiseed_candidates",
-            "Candidate pairs emitted by the shared seed automaton.",
+            "Fragment hits at PAM-anchored windows (batched engines).",
             c.multiseed_candidates,
         ),
         (
             "multiseed_positions",
-            "Distinct positions where the shared seed automaton fired.",
+            "Anchored windows with at least one fragment hit (batched engines).",
             c.multiseed_positions,
         ),
         ("candidates_verified", "Candidates fully verified by scoring.", c.candidates_verified),

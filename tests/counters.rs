@@ -1,20 +1,21 @@
 //! Counter-semantics regressions: `SearchMetrics` counters must mean the
-//! same thing whichever path produced them. The batched (shared seed
-//! automaton) and per-guide paths run the same workload and their
+//! same thing whichever path produced them. The batched (anchor, then
+//! fragment lookup) and per-guide paths run the same workload and their
 //! counters are checked against each other: identical where the semantics
 //! promise identity (`windows_scanned`, `candidates_verified`, hits),
 //! subset-ordered where the batched path provably does less work
 //! (`pam_anchors_tested`, `early_exits`), and path-exclusive for the
-//! multiseed meters. The parallel deployment must neither copy genome
-//! bytes nor change any work counter relative to the serial scan.
+//! multiseed meters. The batched meters are also pinned to a brute-force
+//! count. The parallel deployment must neither copy genome bytes nor
+//! change any work counter relative to the serial scan.
 
 use crispr_offtarget::engines::{
     BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine, ParallelEngine,
 };
 use crispr_offtarget::genome::synth::SynthSpec;
-use crispr_offtarget::genome::Genome;
+use crispr_offtarget::genome::{Base, Genome, Strand};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
-use crispr_offtarget::guides::{Guide, Hit, Pam};
+use crispr_offtarget::guides::{Guide, Hit, Pam, SitePattern};
 use crispr_offtarget::model::SearchMetrics;
 
 const K: usize = 3;
@@ -124,5 +125,92 @@ fn parallel_per_guide_still_copies_nothing() {
         let (_, m) = run(&engine, &genome, &guides);
         assert_eq!(m.counters.bytes_copied, 0);
         assert_eq!(m.parallel.as_ref().expect("parallel stats").worker_phases.guide_compile_s, 0.0);
+    }
+}
+
+/// One pattern's pigeonhole split at budget `k`: its counted run cut into
+/// `k + 1` near-equal fragments, as `(site offset, bases)`.
+fn fragments(pattern: &SitePattern, k: usize) -> Vec<(usize, Vec<Base>)> {
+    let counted: Vec<(usize, Base)> = pattern
+        .positions()
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.counted)
+        .map(|(i, p)| (i, p.class.bases().next().expect("spacer bases are concrete")))
+        .collect();
+    let (n, parts) = (counted.len(), k + 1);
+    (0..parts)
+        .map(|s| {
+            let run = &counted[s * n / parts..(s + 1) * n / parts];
+            (run[0].0, run.iter().map(|&(_, b)| b).collect())
+        })
+        .collect()
+}
+
+/// The batched meters counted the slow way: the `(pattern, window)` pairs
+/// whose PAM holds and that match at least one of their fragments exactly
+/// (`pam_anchors_tested`), and the fragment matches at PAM-valid windows
+/// (`multiseed_candidates`).
+fn brute_force_meters(genome: &Genome, guides: &[Guide], k: usize) -> (u64, u64) {
+    let patterns: Vec<_> = guides
+        .iter()
+        .flat_map(|g| [Strand::Forward, Strand::Reverse].map(|s| SitePattern::from_guide(g, s)))
+        .map(|p| {
+            let frags = fragments(&p, k);
+            (p, frags)
+        })
+        .collect();
+    let site_len = guides[0].site_len();
+    let (mut pairs, mut matches) = (0u64, 0u64);
+    for contig in genome.contigs() {
+        for window in contig.seq().as_slice().windows(site_len) {
+            for (pattern, frags) in &patterns {
+                let pam_holds = pattern
+                    .positions()
+                    .iter()
+                    .zip(window)
+                    .all(|(p, &b)| p.counted || p.class.matches(b));
+                if !pam_holds {
+                    continue;
+                }
+                let fired = frags
+                    .iter()
+                    .filter(|(offset, bases)| window[*offset..*offset + bases.len()] == bases[..])
+                    .count() as u64;
+                pairs += u64::from(fired > 0);
+                matches += fired;
+            }
+        }
+    }
+    (pairs, matches)
+}
+
+#[test]
+fn batched_meters_equal_a_brute_force_count_at_every_budget() {
+    for k in 0..=4usize {
+        let genome = SynthSpec::new(30_000).seed(311 + k as u64).generate();
+        let guides = genset::random_guides(3, 20, &Pam::ngg(), 312);
+        let (genome, _) = genset::plant_offtargets(genome, &guides, &PlantPlan::uniform(k, 3), 313);
+        let (pairs, matches) = brute_force_meters(&genome, &guides, k);
+        assert!(pairs > 0, "k={k}: planted sites are anchored fragment matches");
+        let site_len = guides[0].site_len();
+        let batched = BitParallelEngine::batched;
+        for (label, engine) in [
+            ("serial", Box::new(batched()) as Box<dyn Engine>),
+            (
+                "chunk-minus-1",
+                Box::new(ParallelEngine::new(batched(), 3).with_chunk_len(site_len - 1)),
+            ),
+            (
+                "chunk-plus-1",
+                Box::new(ParallelEngine::new(batched(), 3).with_chunk_len(site_len + 1)),
+            ),
+            ("chunk-997", Box::new(ParallelEngine::new(batched(), 2).with_chunk_len(997))),
+        ] {
+            let mut m = SearchMetrics::default();
+            engine.search_metered(&genome, &guides, k, &mut m).expect("engine runs");
+            assert_eq!(m.counters.pam_anchors_tested, pairs, "k={k} {label}");
+            assert_eq!(m.counters.multiseed_candidates, matches, "k={k} {label}");
+        }
     }
 }

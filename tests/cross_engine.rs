@@ -106,7 +106,7 @@ mod differential {
     };
     use crispr_offtarget::genome::{Base, DnaSeq, Genome};
     use crispr_offtarget::guides::genset::{self, PlantPlan};
-    use crispr_offtarget::guides::{Guide, Pam};
+    use crispr_offtarget::guides::{Guide, Pam, PamSide};
 
     /// Deterministic splitmix64 stream — the harness's only entropy
     /// source, so every combination is replayable from its seed.
@@ -215,20 +215,9 @@ mod differential {
                 ),
             ),
         ];
-        // Forced-SIMD twins: every backend the host can run (the vector
-        // ISA when present, and always the portable and scalar
-        // fallbacks) must reproduce the oracle hit set — so the
-        // fallback kernels stay under differential test even on
-        // hardware where `auto` dispatches AVX2/NEON, and vice versa.
-        for backend in SimdBackend::ALL.into_iter().filter(|b| b.available()) {
-            let name = match backend {
-                SimdBackend::Scalar => "bitparallel-batched-simd-scalar",
-                SimdBackend::Portable => "bitparallel-batched-simd-portable",
-                SimdBackend::Avx2 => "bitparallel-batched-simd-avx2",
-                SimdBackend::Neon => "bitparallel-batched-simd-neon",
-            };
-            variants.push((name, Box::new(BitParallelEngine::batched().with_simd(backend))));
-        }
+        // Forced portable twins of the per-guide SIMD kernels, so the
+        // fallback stays under differential test on hardware where `auto`
+        // dispatches AVX2/NEON. The batched kernel does not dispatch.
         variants.push((
             "cas-offinder-simd-portable",
             Box::new(CasOffinderCpuEngine::new().with_simd(SimdBackend::Portable)),
@@ -346,26 +335,62 @@ mod differential {
         panic!("{msg}");
     }
 
-    /// Runs one seeded combination through every variant.
-    fn check_seed(seed: u64) {
-        let (genome, guides, k) = workload(seed);
-        let truth = ScalarEngine::new().search(&genome, &guides, k).expect("oracle runs");
+    /// Two guides whose sites share anchor groups but place their
+    /// spacers differently: a 20-nt spacer with `NGG` and a 21-nt spacer
+    /// with a bare `GG` both need `G` at 21–22 on the forward strand and
+    /// `C` at 0–1 on the reverse, so the batched kernel must key its
+    /// fragment slots per (offset, length) rather than per group.
+    fn mixed_layout_workload(seed: u64, k: usize) -> (Genome, Vec<Guide>) {
+        let mut rng = SplitMix(seed);
+        let gg = Pam::new("GG", PamSide::Three).expect("valid motif");
+        let guides = vec![
+            Guide::new("ngg20", random_seq(&mut rng, 20), Pam::ngg()).unwrap(),
+            Guide::new("gg21", random_seq(&mut rng, 21), gg).unwrap(),
+        ];
+        let mut genome = Genome::new();
+        genome.add_contig("pam-dense", pam_dense_seq(&mut rng, 600)).unwrap();
+        genome.add_contig("main", random_seq(&mut rng, 1500)).unwrap();
+        let (genome, _) = genset::plant_offtargets(
+            genome,
+            &guides,
+            &PlantPlan::uniform(k, 2),
+            seed.wrapping_add(1),
+        );
+        (genome, guides)
+    }
+
+    /// Runs one workload through every variant; `seed` names it in a
+    /// failure report.
+    fn check_workload(genome: &Genome, guides: &[Guide], k: usize, seed: u64) {
+        let truth = ScalarEngine::new().search(genome, guides, k).expect("oracle runs");
         let site_len = guides[0].site_len();
         for (name, engine) in engine_variants(k, site_len) {
-            match engine.search(&genome, &guides, k) {
+            match engine.search(genome, guides, k) {
                 Ok(hits) if hits == truth => {}
-                _ => report_failure(name, engine.as_ref(), &genome, &guides, k, seed),
+                _ => report_failure(name, engine.as_ref(), genome, guides, k, seed),
             }
         }
     }
 
+    /// Runs one seeded combination through every variant.
+    fn check_seed(seed: u64) {
+        let (genome, guides, k) = workload(seed);
+        check_workload(&genome, &guides, k, seed);
+    }
+
     /// The fixed-seed conformance matrix: 24 seeded genome/guide-set
     /// combinations (every PAM in the repertoire at least 4 times,
-    /// budgets 0..=3, 1–3 guides) × every engine variant.
+    /// budgets 0..=3, 1–3 guides) × every engine variant, plus the
+    /// mixed-layout guide pair at budgets 0..=4.
     #[test]
     fn oracle_matrix_fixed_seeds() {
         for seed in 0..24 {
             check_seed(seed);
+        }
+        for k in 0..=4usize {
+            let seed = 0x5EED_0000 + k as u64;
+            let (genome, guides) = mixed_layout_workload(seed, k);
+            check_workload(&genome, &guides, k, seed);
         }
     }
 

@@ -255,8 +255,8 @@ proptest! {
     }
 
     /// A batched search prepared once scans any number of genomes — the
-    /// compiled seed automaton carries no per-slice state across calls
-    /// (rolling registers and dedup masks are rebuilt per slice).
+    /// compiled slot tables carry no per-slice state across calls (anchor
+    /// masks and window stamps are rebuilt per slice).
     #[test]
     fn batched_prepared_search_reuse_equals_fresh(
         text_a in dna_seq(100..800),
