@@ -4,19 +4,19 @@ use crispr_engines::{
     EngineError, NfaEngine, ParallelEngine, ScalarEngine, ScanSource, SearchError,
 };
 use crispr_genome::diskindex::GenomeIndex;
-use crispr_genome::Genome;
+use crispr_genome::{Genome, PackedGenome};
 use crispr_guides::{Guide, Hit};
 use crispr_model::SearchMetrics;
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Where the reference sequence comes from: an in-memory [`Genome`]
-/// (FASTA/synthetic path) or an opened on-disk [`GenomeIndex`] whose
-/// packed payloads are scanned without re-deriving.
+/// Where the reference sequence comes from: an in-memory
+/// [`PackedGenome`] (FASTA/synthetic path) or an opened on-disk
+/// [`GenomeIndex`]; either way the packed payloads are scanned without
+/// re-deriving.
 #[derive(Debug, Clone)]
 enum GenomeSource {
-    Direct(Genome),
+    Packed(PackedGenome),
     Index(Arc<GenomeIndex>),
 }
 
@@ -33,25 +33,31 @@ pub struct OffTargetSearch {
     input_degradations: u64,
     shard: Option<usize>,
     index_load_s: f64,
+    /// Seconds [`OffTargetSearch::new`] spent packing its genome,
+    /// charged to every run's `genome_load_s`.
+    pack_s: f64,
     cancel: CancelToken,
 }
 
 impl OffTargetSearch {
     /// Starts a search over `genome` with defaults: no guides yet, k = 3,
-    /// the bit-parallel CPU platform, single-threaded.
+    /// the bit-parallel CPU platform, single-threaded. The genome is
+    /// packed once here (charged to `genome_load_s`) and scanned as
+    /// [`OffTargetSearch::from_packed`] would.
     pub fn new(genome: Genome) -> OffTargetSearch {
-        OffTargetSearch {
-            source: GenomeSource::Direct(genome),
-            guides: Vec::new(),
-            k: 3,
-            platform: Platform::CpuBitParallel,
-            threads: 1,
-            chunk_retries: crispr_engines::DEFAULT_CHUNK_RETRIES,
-            input_degradations: 0,
-            shard: None,
-            index_load_s: 0.0,
-            cancel: CancelToken::none(),
-        }
+        let pack_start = Instant::now();
+        let packed = genome.pack();
+        let pack_s = pack_start.elapsed().as_secs_f64();
+        OffTargetSearch { pack_s, ..OffTargetSearch::from_source(GenomeSource::Packed(packed)) }
+    }
+
+    /// Starts a search over a genome already in packed form — what
+    /// [`crispr_genome::fasta::read_packed_resilient`] returns. CPU
+    /// platforms scan its words and bitmaps in place, serially or in
+    /// packed chunks; the modeled accelerators unpack it once, charged
+    /// to `genome_load_s`.
+    pub fn from_packed(genome: PackedGenome) -> OffTargetSearch {
+        OffTargetSearch::from_source(GenomeSource::Packed(genome))
     }
 
     /// Starts a search over an opened on-disk index. Single-threaded CPU
@@ -62,8 +68,12 @@ impl OffTargetSearch {
     /// charged to `genome_load_s`. Hit sets are identical to
     /// [`OffTargetSearch::new`] on the genome the index was built from.
     pub fn from_index(index: Arc<GenomeIndex>) -> OffTargetSearch {
+        OffTargetSearch::from_source(GenomeSource::Index(index))
+    }
+
+    fn from_source(source: GenomeSource) -> OffTargetSearch {
         OffTargetSearch {
-            source: GenomeSource::Index(index),
+            source,
             guides: Vec::new(),
             k: 3,
             platform: Platform::CpuBitParallel,
@@ -72,14 +82,15 @@ impl OffTargetSearch {
             input_degradations: 0,
             shard: None,
             index_load_s: 0.0,
+            pack_s: 0.0,
             cancel: CancelToken::none(),
         }
     }
 
     /// Streams each contig of an indexed scan in shards of `len` window
     /// starts, bounding resident memory by one shard instead of one
-    /// contig — hits and counters are unchanged. Ignored on the direct
-    /// (non-index) path and by threaded/modeled runs.
+    /// contig — hits and counters are unchanged. Ignored on the
+    /// in-memory path and by threaded/modeled runs.
     pub fn shard(mut self, len: Option<usize>) -> OffTargetSearch {
         self.shard = len;
         self
@@ -187,10 +198,9 @@ impl OffTargetSearch {
         if let Err(kind) = self.cancel.check() {
             return Err(SearchError::from_cancel(kind, Vec::new(), 0, 0));
         }
-        // Modeled accelerators consume a byte-per-base genome; an indexed
-        // run materializes it here (once) and charges the unpack below.
-        let modeled_genome =
-            if self.platform.is_modeled() { Some(self.materialized()?) } else { None };
+        // Modeled accelerators consume a byte-per-base genome; it is
+        // unpacked here (once) and the unpack charged below.
+        let modeled_genome = if self.platform.is_modeled() { Some(self.unpacked()?) } else { None };
         let (hits, mut metrics, partial) = match self.platform {
             Platform::CpuScalar => self.run_cpu(ScalarEngine::new())?,
             Platform::CpuCasOffinder => self.run_cpu(CasOffinderCpuEngine::new())?,
@@ -248,6 +258,7 @@ impl OffTargetSearch {
             }
         };
         metrics.counters.degraded_paths += self.input_degradations;
+        metrics.phases.genome_load_s += self.pack_s;
         if let Some((_, unpack_s)) = &modeled_genome {
             metrics.phases.genome_load_s += unpack_s;
         }
@@ -279,10 +290,10 @@ impl OffTargetSearch {
     /// absorbs compile time the way the old lumped measurement did.
     ///
     /// Both paths go through the engine's prepare/scan split
-    /// (`Engine::prepare` once, `PreparedSearch::scan_slice` per contig
+    /// (`Engine::prepare` once, `PreparedSearch::scan_packed` per contig
     /// or chunk — see DESIGN.md §7.1), so `guide_compile_s` is paid once
     /// regardless of `threads`, and the parallel wrapper fans the same
-    /// prepared searcher out over borrowed chunks without copying.
+    /// prepared searcher out over borrowed packed chunks.
     ///
     /// A partial outcome (some chunks failed every retry) is *not* an
     /// error at this level: the parallel deployment delivers the
@@ -296,22 +307,28 @@ impl OffTargetSearch {
     ) -> Result<(Vec<Hit>, SearchMetrics, Option<PartialOutcome>), EngineError> {
         let mut metrics = SearchMetrics::default();
         if self.threads > 1 {
-            let packed;
+            let copied;
             let source = match &self.source {
-                GenomeSource::Direct(genome) => ScanSource::Bases(genome),
+                GenomeSource::Packed(genome) => genome,
                 GenomeSource::Index(index) => {
                     // Workers scan packed chunks: the index's payloads are
                     // copied out once (charged to genome_load_s), never
                     // unpacked.
                     let copy_start = Instant::now();
-                    packed = index.to_packed();
+                    copied = index.to_packed();
                     metrics.phases.genome_load_s += copy_start.elapsed().as_secs_f64();
-                    ScanSource::Packed(&packed)
+                    &copied
                 }
             };
             let result = ParallelEngine::new(engine, self.threads)
                 .with_retry_limit(self.chunk_retries)
-                .search_source(source, &self.guides, self.k, &self.cancel, &mut metrics);
+                .search_cancellable(
+                    ScanSource::Packed(source),
+                    &self.guides,
+                    self.k,
+                    &self.cancel,
+                    &mut metrics,
+                );
             match result {
                 Ok(hits) => Ok((hits, metrics, None)),
                 Err(SearchError::Partial { failures, chunks_total, hits }) => {
@@ -321,8 +338,8 @@ impl OffTargetSearch {
             }
         } else {
             let hits = match &self.source {
-                GenomeSource::Direct(genome) => engine.search_cancellable(
-                    genome,
+                GenomeSource::Packed(genome) => engine.search_cancellable(
+                    ScanSource::Packed(genome),
                     &self.guides,
                     self.k,
                     &self.cancel,
@@ -344,23 +361,20 @@ impl OffTargetSearch {
     /// Total reference length without materializing anything.
     fn total_len(&self) -> usize {
         match &self.source {
-            GenomeSource::Direct(genome) => genome.total_len(),
+            GenomeSource::Packed(genome) => genome.total_len(),
             GenomeSource::Index(index) => index.total_len(),
         }
     }
 
-    /// A byte-per-base view of the source for the modeled platforms:
-    /// borrowed for the direct path, unpacked from the index otherwise
-    /// (with the seconds that took).
-    fn materialized(&self) -> Result<(Cow<'_, Genome>, f64), EngineError> {
-        match &self.source {
-            GenomeSource::Direct(genome) => Ok((Cow::Borrowed(genome), 0.0)),
-            GenomeSource::Index(index) => {
-                let start = Instant::now();
-                let genome = index.to_genome()?;
-                Ok((Cow::Owned(genome), start.elapsed().as_secs_f64()))
-            }
-        }
+    /// A byte-per-base copy of the source for the modeled platforms,
+    /// with the seconds the unpack took.
+    fn unpacked(&self) -> Result<(Genome, f64), EngineError> {
+        let start = Instant::now();
+        let genome = match &self.source {
+            GenomeSource::Packed(genome) => genome.unpack(),
+            GenomeSource::Index(index) => index.to_genome()?,
+        };
+        Ok((genome, start.elapsed().as_secs_f64()))
     }
 }
 

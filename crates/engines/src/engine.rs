@@ -1,4 +1,4 @@
-use crate::{CancelToken, EngineError, SearchError};
+use crate::{CancelToken, EngineError, ScanSource, SearchError};
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::pamindex::{AnchorScanner, BaseMasks};
 use crispr_genome::{Base, Genome, IupacCode, PackedSeq, Strand};
@@ -135,11 +135,12 @@ pub trait Engine {
         k: usize,
         metrics: &mut SearchMetrics,
     ) -> Result<Vec<Hit>, EngineError> {
-        self.search_cancellable(genome, guides, k, &CancelToken::none(), metrics)
+        self.search_cancellable(genome.into(), guides, k, &CancelToken::none(), metrics)
     }
 
-    /// [`Engine::search_metered`] with a cooperative [`CancelToken`]: the
-    /// token is polled at every contig boundary, so a manual trip or an
+    /// [`Engine::search_metered`] over any [`ScanSource`] — byte-per-base
+    /// or packed contigs — with a cooperative [`CancelToken`]: the token
+    /// is polled at every contig boundary, so a manual trip or an
     /// expired deadline stops the scan within one contig-scan and
     /// surfaces as [`SearchError::Cancelled`] /
     /// [`SearchError::DeadlineExceeded`] carrying the hits recovered from
@@ -151,7 +152,7 @@ pub trait Engine {
     /// variants.
     fn search_cancellable(
         &self,
-        genome: &Genome,
+        source: ScanSource<'_>,
         guides: &[Guide],
         k: usize,
         cancel: &CancelToken,
@@ -169,7 +170,7 @@ pub trait Engine {
         };
         metrics.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
         prepared.record_gauges(metrics);
-        let result = scan_genome_cancellable(prepared.as_ref(), genome, cancel, metrics);
+        let result = scan_genome_cancellable(prepared.as_ref(), source, cancel, metrics);
         metrics.counters.faults_injected += faults.fired_since();
         result
     }
@@ -239,7 +240,7 @@ pub fn scan_genome(
     genome: &Genome,
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
-    scan_genome_cancellable(prepared, genome, &CancelToken::none(), m)
+    scan_genome_cancellable(prepared, genome.into(), &CancelToken::none(), m)
 }
 
 /// Finalizes a run stopped by a tripped token: the completed chunks keep
@@ -261,38 +262,42 @@ fn finish_cancelled(
     SearchError::from_cancel(kind, hits, chunks_scanned, chunks_total)
 }
 
-/// [`scan_genome`] with a cooperative [`CancelToken`], polled once per
-/// contig (one relaxed load; see `cancel.rs` for why checks sit at chunk
-/// boundaries). On a trip, the hits recovered from fully-scanned contigs
-/// are normalized and returned inside the typed cancellation error.
+/// [`scan_genome`] over any [`ScanSource`], with a cooperative
+/// [`CancelToken`] polled once per contig (one relaxed load; see
+/// `cancel.rs` for why checks sit at chunk boundaries). Byte-per-base
+/// contigs go to [`PreparedSearch::scan_slice`], packed ones — words and
+/// bitmaps borrowed as they are — to [`PreparedSearch::scan_packed`].
+/// On a trip, the hits recovered from fully-scanned contigs are
+/// normalized and returned inside the typed cancellation error.
 ///
 /// # Errors
 ///
-/// Propagates [`PreparedSearch::scan_slice`] failures, plus
-/// [`SearchError::Cancelled`] / [`SearchError::DeadlineExceeded`].
+/// Propagates scan failures, plus [`SearchError::Cancelled`] /
+/// [`SearchError::DeadlineExceeded`].
 pub fn scan_genome_cancellable(
     prepared: &dyn PreparedSearch,
-    genome: &Genome,
+    source: ScanSource<'_>,
     cancel: &CancelToken,
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
-    let chunks_total = genome.contigs().len() as u64;
+    let lens = source.contig_lens();
+    let chunks_total = lens.len() as u64;
     let mut hits = Vec::new();
-    for (ci, contig) in genome.contigs().iter().enumerate() {
+    for (ci, &len) in lens.iter().enumerate() {
         if let Err(kind) = cancel.check() {
             return Err(finish_cancelled(kind, hits, ci as u64, chunks_total, m));
         }
         let before = hits.len();
         let contig_start = Instant::now();
         {
-            let _span = trace::span_args("contig", ci as u64, contig.len() as u64);
-            prepared.scan_slice(contig.seq().as_slice(), &mut hits, m)?;
+            let _span = trace::span_args("contig", ci as u64, len as u64);
+            source.chunk(ci, 0, len).scan(prepared, &mut hits, m)?;
         }
         // The serial driver scans one contig where the parallel one
         // scans one chunk; both feed the same latency histogram so
         // chunked and unchunked runs stay comparable.
         m.observe("chunk_scan_s", contig_start.elapsed().as_secs_f64());
-        trace::progress::add(contig.len() as u64);
+        trace::progress::add(len as u64);
         for hit in &mut hits[before..] {
             hit.contig = ci as u32;
         }
@@ -701,6 +706,38 @@ mod tests {
             ScalarEngine::new().search(&a, std::slice::from_ref(&guide), 0).unwrap()
         );
         assert_eq!(hits_b, ScalarEngine::new().search(&b, &[guide], 0).unwrap());
+    }
+
+    #[test]
+    fn a_tripped_token_stops_the_packed_serial_scan_before_any_contig() {
+        let (genome, guides, _) = test_support::planted_workload(84, 2);
+        let mut split = Genome::new();
+        for (i, piece) in genome.contigs()[0].seq().as_slice().chunks(7_000).enumerate() {
+            split
+                .add_contig(format!("c{i}"), crispr_genome::DnaSeq::from_bases(piece.to_vec()))
+                .unwrap();
+        }
+        let packed = split.pack();
+        let engine = crate::BitParallelEngine::new();
+        let run = |cancel: &CancelToken, m: &mut SearchMetrics| {
+            engine.search_cancellable(ScanSource::Packed(&packed), &guides, 2, cancel, m)
+        };
+        let mut clean_m = SearchMetrics::default();
+        let clean = run(&CancelToken::none(), &mut clean_m).unwrap();
+        assert_eq!(clean, engine.search(&split, &guides, 2).unwrap());
+
+        let token = CancelToken::new();
+        token.cancel();
+        let mut cancelled_m = SearchMetrics::default();
+        let err = run(&token, &mut cancelled_m).unwrap_err();
+        let (hits, scanned, total, deadline) = err.into_cancelled().expect("typed cancellation");
+        assert!(hits.is_empty() && !deadline);
+        assert_eq!((scanned, total), (0, packed.contig_count() as u64));
+        assert_eq!(cancelled_m.counters.windows_scanned, 0);
+
+        let mut rerun_m = SearchMetrics::default();
+        assert_eq!(run(&CancelToken::none(), &mut rerun_m).unwrap(), clean);
+        assert_eq!(rerun_m.counters, clean_m.counters);
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl<'g> From<&'g PackedGenome> for ScanSource<'g> {
 }
 
 impl<'g> ScanSource<'g> {
-    fn contig_lens(self) -> Vec<usize> {
+    pub(crate) fn contig_lens(self) -> Vec<usize> {
         match self {
             ScanSource::Bases(g) => g.contigs().iter().map(|c| c.len()).collect(),
             ScanSource::Packed(g) => g.contigs().iter().map(PackedContig::len).collect(),
@@ -105,7 +105,7 @@ impl<'g> ScanSource<'g> {
     }
 
     /// Bases `[start, end)` of contig `ci` as chunk input.
-    fn chunk(self, ci: usize, start: usize, end: usize) -> ChunkData<'g> {
+    pub(crate) fn chunk(self, ci: usize, start: usize, end: usize) -> ChunkData<'g> {
         match self {
             ScanSource::Bases(g) => ChunkData::Bases(&g.contigs()[ci].seq().as_slice()[start..end]),
             ScanSource::Packed(g) => {
@@ -117,7 +117,7 @@ impl<'g> ScanSource<'g> {
 
 /// One chunk's bases: a borrowed slice, or a range of a packed contig.
 #[derive(Debug, Clone, Copy)]
-enum ChunkData<'g> {
+pub(crate) enum ChunkData<'g> {
     Bases(&'g [Base]),
     Packed { contig: &'g PackedContig, start: usize, len: usize },
 }
@@ -131,7 +131,7 @@ impl ChunkData<'_> {
     }
 
     /// Scans the chunk, appending chunk-relative raw hits.
-    fn scan(
+    pub(crate) fn scan(
         &self,
         prepared: &dyn PreparedSearch,
         out: &mut Vec<Hit>,
@@ -267,55 +267,6 @@ impl<E: Engine + Sync> ParallelEngine<E> {
     /// The inner engine.
     pub fn inner(&self) -> &E {
         &self.inner
-    }
-
-    /// [`Engine::search_cancellable`] over any [`ScanSource`] — how a
-    /// caller holding a [`PackedGenome`] runs the parallel deployment
-    /// without materializing byte-per-base contigs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::search_cancellable`], plus
-    /// [`SearchError::Partial`] (see [`scan_prepared`]).
-    pub fn search_source(
-        &self,
-        source: ScanSource<'_>,
-        guides: &[Guide],
-        k: usize,
-        cancel: &CancelToken,
-        metrics: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        metrics.engine = self.name().to_string();
-        self.scan(source, guides, k, cancel, metrics)
-    }
-
-    fn scan(
-        &self,
-        source: ScanSource<'_>,
-        guides: &[Guide],
-        k: usize,
-        cancel: &CancelToken,
-        m: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        // Faults fired during prepare are metered here; scan-side fires
-        // are metered by `scan_prepared`'s own delta.
-        let faults = crispr_failpoint::FireMark::now();
-        let compile_start = Instant::now();
-        let prepared = {
-            let _span = trace::span("phase:guide_compile");
-            self.inner.prepare(guides, k)?
-        };
-        m.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
-        prepared.record_gauges(m);
-        m.counters.faults_injected += faults.fired_since();
-
-        let deployment = ScanDeployment {
-            threads: self.threads,
-            retry_limit: self.retry_limit,
-            chunk_len: self.chunk_len,
-            cancel: cancel.clone(),
-        };
-        scan_prepared(prepared.as_ref(), source, &deployment, m)
     }
 }
 
@@ -580,34 +531,46 @@ impl<E: Engine + Sync> Engine for ParallelEngine<E> {
     /// Delegates to the inner engine: the parallel wrapper is a scan-side
     /// deployment, not a different compiler. (The prepared search returned
     /// here scans serially; the fan-out lives in
-    /// [`ParallelEngine::search_metered`].)
+    /// [`ParallelEngine::search_cancellable`].)
     fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
         self.inner.prepare(guides, k)
     }
 
-    fn search(&self, genome: &Genome, guides: &[Guide], k: usize) -> Result<Vec<Hit>, EngineError> {
-        self.scan(genome.into(), guides, k, &CancelToken::none(), &mut SearchMetrics::default())
-    }
-
-    fn search_metered(
-        &self,
-        genome: &Genome,
-        guides: &[Guide],
-        k: usize,
-        metrics: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        self.search_source(genome.into(), guides, k, &CancelToken::none(), metrics)
-    }
-
+    /// Compiles once, then fans `source`'s chunks out over the workers
+    /// ([`scan_prepared`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as the inner engine's, plus [`SearchError::Partial`] when
+    /// some chunks exhausted their retry budget.
     fn search_cancellable(
         &self,
-        genome: &Genome,
+        source: ScanSource<'_>,
         guides: &[Guide],
         k: usize,
         cancel: &CancelToken,
-        metrics: &mut SearchMetrics,
+        m: &mut SearchMetrics,
     ) -> Result<Vec<Hit>, EngineError> {
-        self.search_source(genome.into(), guides, k, cancel, metrics)
+        m.engine = self.name().to_string();
+        // Faults fired during prepare are metered here; scan-side fires
+        // are metered by `scan_prepared`'s own delta.
+        let faults = crispr_failpoint::FireMark::now();
+        let compile_start = Instant::now();
+        let prepared = {
+            let _span = trace::span("phase:guide_compile");
+            self.inner.prepare(guides, k)?
+        };
+        m.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
+        prepared.record_gauges(m);
+        m.counters.faults_injected += faults.fired_since();
+
+        let deployment = ScanDeployment {
+            threads: self.threads,
+            retry_limit: self.retry_limit,
+            chunk_len: self.chunk_len,
+            cancel: cancel.clone(),
+        };
+        scan_prepared(prepared.as_ref(), source, &deployment, m)
     }
 }
 

@@ -249,6 +249,18 @@ impl PackedGenome {
     pub fn total_len(&self) -> usize {
         self.contigs.iter().map(PackedContig::len).sum()
     }
+
+    /// Unpacks every contig back to byte-per-base form — the inverse of
+    /// [`Genome::pack`], for consumers that read [`crate::DnaSeq`]s.
+    pub fn unpack(&self) -> Genome {
+        self.contigs.iter().map(|c| Contig::new(c.name.clone(), c.seq.unpack())).collect()
+    }
+}
+
+impl From<Genome> for PackedGenome {
+    fn from(genome: Genome) -> PackedGenome {
+        genome.pack()
+    }
 }
 
 impl FromIterator<PackedContig> for PackedGenome {
@@ -376,5 +388,6 @@ mod tests {
         let b = &packed.contigs()[1];
         assert_eq!((b.name(), b.seq().unpack().to_string()), ("b", "GGCC".to_string()));
         assert_eq!(b.masks(), &BaseMasks::build(b.seq()));
+        assert_eq!(packed.unpack(), g);
     }
 }

@@ -112,7 +112,9 @@ impl PackedSeq {
         let mut bases = Vec::with_capacity(self.len);
         for &word in &self.words {
             let lanes = (self.len - bases.len()).min(BASES_PER_WORD);
-            bases.extend((0..lanes).map(|i| Base::from_code((word >> (2 * i)) as u8)));
+            let block: [Base; BASES_PER_WORD] =
+                std::array::from_fn(|i| Base::from_code((word >> (2 * i)) as u8));
+            bases.extend_from_slice(&block[..lanes]);
         }
         DnaSeq::from_bases(bases)
     }

@@ -28,6 +28,7 @@
 //! ```
 
 use crate::{Base, IupacCode, PackedSeq};
+use std::borrow::Cow;
 
 /// The four concrete-base position bitmaps of one sequence — the exact
 /// per-base masks [`PackedSeq::match_mask`] is built from, precomputed
@@ -111,6 +112,15 @@ impl BaseMasks {
         BaseMasks::from_raw_parts(masks, len).expect("word count computed from len")
     }
 
+    /// [`BaseMasks::class_mask`], borrowing the stored bitmap when the
+    /// class is a single base (the anchors of every `NGG`-style PAM).
+    fn class_bits(&self, class: IupacCode) -> Cow<'_, [u64]> {
+        match class.degeneracy() {
+            1 => Cow::Borrowed(self.mask(class.bases().next().expect("one member base"))),
+            _ => Cow::Owned(self.class_mask(class)),
+        }
+    }
+
     /// The position bitmap of an IUPAC class: the OR of its member base
     /// bitmaps, equal to [`PackedSeq::match_mask`] on the same sequence.
     pub fn class_mask(&self, class: IupacCode) -> Vec<u64> {
@@ -182,7 +192,7 @@ impl AnchorScanner {
     /// Panics if `window < self.span()` (an anchor would fall outside the
     /// window).
     pub fn candidates(&self, packed: &PackedSeq, window: usize) -> CandidateMask {
-        self.intersect(packed.len(), window, |c| packed.match_mask(c))
+        self.intersect(packed.len(), window, |c| Cow::Owned(packed.match_mask(c)))
     }
 
     /// [`AnchorScanner::candidates`] fed from precomputed per-base
@@ -194,14 +204,14 @@ impl AnchorScanner {
     ///
     /// Panics if `window < self.span()`.
     pub fn candidates_from(&self, masks: &BaseMasks, window: usize) -> CandidateMask {
-        self.intersect(masks.len(), window, |c| masks.class_mask(c))
+        self.intersect(masks.len(), window, |c| masks.class_bits(c))
     }
 
-    fn intersect(
+    fn intersect<'m>(
         &self,
         len: usize,
         window: usize,
-        mask_of: impl Fn(IupacCode) -> Vec<u64>,
+        mask_of: impl Fn(IupacCode) -> Cow<'m, [u64]>,
     ) -> CandidateMask {
         assert!(window >= self.span, "window {window} shorter than anchor span {}", self.span);
         let limit = (len + 1).saturating_sub(window.max(1));
@@ -209,7 +219,7 @@ impl AnchorScanner {
         if words == 0 {
             return CandidateMask { words: Vec::new(), limit: 0 };
         }
-        let class_masks: Vec<(IupacCode, Vec<u64>)> =
+        let class_masks: Vec<(IupacCode, Cow<'m, [u64]>)> =
             self.classes.iter().map(|&c| (c, mask_of(c))).collect();
         let mut acc = vec![u64::MAX; words];
         for &(offset, class) in &self.pairs {
@@ -235,7 +245,7 @@ impl AnchorScanner {
     /// operations; the fixed four-word block also hands vector units four
     /// independent 64-bit lanes per step with no cross-lane carries.
     pub fn candidates_blocked(&self, packed: &PackedSeq, window: usize) -> CandidateMask {
-        self.intersect_blocked(packed.len(), window, |c| packed.match_mask(c))
+        self.intersect_blocked(packed.len(), window, |c| Cow::Owned(packed.match_mask(c)))
     }
 
     /// [`AnchorScanner::candidates_blocked`] fed from precomputed
@@ -246,14 +256,14 @@ impl AnchorScanner {
     ///
     /// Panics if `window < self.span()`.
     pub fn candidates_from_blocked(&self, masks: &BaseMasks, window: usize) -> CandidateMask {
-        self.intersect_blocked(masks.len(), window, |c| masks.class_mask(c))
+        self.intersect_blocked(masks.len(), window, |c| masks.class_bits(c))
     }
 
-    fn intersect_blocked(
+    fn intersect_blocked<'m>(
         &self,
         len: usize,
         window: usize,
-        mask_of: impl Fn(IupacCode) -> Vec<u64>,
+        mask_of: impl Fn(IupacCode) -> Cow<'m, [u64]>,
     ) -> CandidateMask {
         assert!(window >= self.span, "window {window} shorter than anchor span {}", self.span);
         let limit = (len + 1).saturating_sub(window.max(1));
@@ -261,7 +271,7 @@ impl AnchorScanner {
         if words == 0 {
             return CandidateMask { words: Vec::new(), limit: 0 };
         }
-        let class_masks: Vec<(IupacCode, Vec<u64>)> =
+        let class_masks: Vec<(IupacCode, Cow<'m, [u64]>)> =
             self.classes.iter().map(|&c| (c, mask_of(c))).collect();
         let mut acc = vec![u64::MAX; words];
         for block in (0..words).step_by(4) {

@@ -10,7 +10,7 @@ use crispr_engines::{
     DEFAULT_CHUNK_RETRIES,
 };
 use crispr_genome::diskindex::GenomeIndex;
-use crispr_genome::{Genome, PackedGenome};
+use crispr_genome::PackedGenome;
 use crispr_guides::{io as guide_io, Guide, Hit};
 use crispr_model::json::escape;
 use crispr_model::SearchMetrics;
@@ -193,14 +193,16 @@ struct WorkerPool {
 }
 
 impl Server {
-    /// Binds the listener, spawns the pool, and returns immediately. The
-    /// genome is packed once here; the byte-per-base form is dropped.
+    /// Binds the listener, spawns the pool, and returns immediately. A
+    /// packed genome (what `fasta::read_packed_resilient` returns) is
+    /// held as is; a [`crispr_genome::Genome`] is packed once here and its
+    /// byte-per-base form dropped.
     ///
     /// # Errors
     ///
     /// Socket errors from binding `cfg.addr`.
-    pub fn start(genome: Genome, cfg: ServeConfig) -> io::Result<Server> {
-        Server::start_with(genome.pack(), None, cfg)
+    pub fn start(genome: impl Into<PackedGenome>, cfg: ServeConfig) -> io::Result<Server> {
+        Server::start_with(genome.into(), None, cfg)
     }
 
     /// [`Server::start`] from an opened on-disk index: the index's packed

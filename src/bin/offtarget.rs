@@ -12,9 +12,10 @@
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::genome::synth::SynthSpec;
-use crispr_offtarget::genome::{fasta, Genome};
+use crispr_offtarget::genome::{fasta, Genome, PackedGenome};
 use crispr_offtarget::guides::{genset, io as guide_io, Guide, Pam};
 use crispr_offtarget::model::json::escape;
+use crispr_offtarget::model::SearchMetrics;
 use crispr_offtarget::trace;
 use std::collections::HashMap;
 use std::fs::File;
@@ -350,13 +351,19 @@ impl ProgressReporter {
     }
 }
 
-/// Loads a genome resiliently: strict parse first, lossy fallback (with a
-/// warning) on invalid sequence bytes. Returns the genome and how many
-/// degradation events occurred, for the `degraded_paths` counter.
-fn load_genome(path: &str) -> Result<(Genome, u64), CliError> {
-    let bytes = std::fs::read(path)?;
-    let (genome, degraded) = fasta::read_genome_resilient(&bytes)?;
+/// Parses a FASTA file straight into packed form, resiliently: invalid
+/// sequence bytes are dropped with a warning. Returns the genome and how
+/// many degradation events occurred, for the `degraded_paths` counter.
+fn load_packed(path: &str) -> Result<(PackedGenome, u64), CliError> {
+    let (genome, degraded) = fasta::read_packed_resilient(File::open(path)?)?;
     Ok((genome, u64::from(degraded)))
+}
+
+/// [`load_packed`], unpacked for the commands that read byte-per-base
+/// contigs.
+fn load_genome(path: &str) -> Result<(Genome, u64), CliError> {
+    let (genome, degraded) = load_packed(path)?;
+    Ok((genome.unpack(), degraded))
 }
 
 fn load_guides(path: &str) -> Result<Vec<Guide>, CliError> {
@@ -488,11 +495,11 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         }
         None => {
             let (genome, degraded_inputs) =
-                load_genome(get(&flags, "genome").map_err(|_| "missing --genome (or --index)")?)?;
+                load_packed(get(&flags, "genome").map_err(|_| "missing --genome (or --index)")?)?;
             let names: Vec<String> =
                 genome.contigs().iter().map(|c| c.name().to_string()).collect();
             let total = genome.total_len() as u64;
-            (OffTargetSearch::new(genome).input_degradations(degraded_inputs), names, total)
+            (OffTargetSearch::from_packed(genome).input_degradations(degraded_inputs), names, total)
         }
     };
 
@@ -585,6 +592,13 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
                 other => return Err(format!("unknown format {other:?} (tsv|json)").into()),
             }
             writer.flush()?;
+            // The sidecars of a run cut short carry its platform and
+            // chunk progress; the engine's counters stop with the scan
+            // and are not returned.
+            let mut metrics = SearchMetrics::new(platform.name());
+            metrics.set_gauge("chunks_scanned", chunks_scanned as f64);
+            metrics.set_gauge("chunks_total", chunks_total as f64);
+            write_sidecars(&flags, &metrics)?;
             trace_written?;
             eprintln!(
                 "offtarget: {} after {chunks_scanned}/{chunks_total} chunks ({} hits recovered)",
@@ -642,16 +656,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     // Results are fully written (and flushed, if stdout shares the
     // stream with a sidecar below) before any sidecar or summary output.
     writer.flush()?;
-    if let Some(path) = flags.get("metrics") {
-        let mut out = file_or_stdout(path)?;
-        writeln!(out, "{}", report.metrics().to_json())?;
-        out.flush()?;
-    }
-    if let Some(path) = flags.get("prom") {
-        let mut out = file_or_stdout(path)?;
-        out.write_all(trace::prom::render(report.metrics()).as_bytes())?;
-        out.flush()?;
-    }
+    write_sidecars(&flags, report.metrics())?;
     eprintln!(
         "{}: {} hits, {} ({}){}",
         platform,
@@ -677,6 +682,25 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         return Ok(3);
     }
     Ok(0)
+}
+
+/// Writes the `--metrics` JSON and `--prom` exposition sidecars, when
+/// asked for.
+fn write_sidecars(
+    flags: &HashMap<String, String>,
+    metrics: &SearchMetrics,
+) -> Result<(), CliError> {
+    if let Some(path) = flags.get("metrics") {
+        let mut out = file_or_stdout(path)?;
+        writeln!(out, "{}", metrics.to_json())?;
+        out.flush()?;
+    }
+    if let Some(path) = flags.get("prom") {
+        let mut out = file_or_stdout(path)?;
+        out.write_all(trace::prom::render(metrics).as_bytes())?;
+        out.flush()?;
+    }
+    Ok(())
 }
 
 /// `offtarget serve`: loads the genome once, then blocks inside the
@@ -746,7 +770,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         }
         None => {
             let (genome, _) =
-                load_genome(get(&flags, "genome").map_err(|_| "missing --genome (or --index)")?)?;
+                load_packed(get(&flags, "genome").map_err(|_| "missing --genome (or --index)")?)?;
             Server::start(genome, cfg.clone())?
         }
     };

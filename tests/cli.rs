@@ -318,3 +318,39 @@ fn metrics_flag_writes_standalone_json() {
 
     fs::remove_dir_all(&dir).ok();
 }
+
+/// The `--timeout` contract at the CLI boundary: a deadline that has
+/// passed before the scan starts exits 4, still writes the hits file
+/// (header only: no chunk completed) and the metrics sidecar, and says
+/// why on stderr.
+#[test]
+fn an_expired_timeout_exits_4_with_a_header_only_tsv_and_sidecar() {
+    let dir = scratch("timeout");
+    let (genome, guides) = write_workload(&dir);
+    let hits_path = dir.join("hits.tsv");
+    let metrics_path = dir.join("m.json");
+    let output = run_search(&[
+        "--genome",
+        genome.to_str().unwrap(),
+        "--guides",
+        guides.to_str().unwrap(),
+        "--timeout",
+        "0.000001",
+        "--metrics",
+        metrics_path.to_str().unwrap(),
+        "-o",
+        hits_path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(4), "stderr: {stderr}");
+    assert!(stderr.contains("deadline exceeded"), "stderr: {stderr}");
+    let tsv = fs::read_to_string(&hits_path).expect("hits file written");
+    assert_eq!(tsv, "#guide\tcontig\tpos\tstrand\tmismatches\n");
+    let text = fs::read_to_string(&metrics_path).expect("metrics sidecar written");
+    let value = json::parse(&text).expect("metrics JSON parses");
+    assert_eq!(value.get("engine").and_then(Value::as_str), Some("cpu-hyperscan"));
+    let gauges = value.get("gauges").expect("gauges");
+    assert_eq!(gauges.get("chunks_scanned").and_then(Value::as_f64), Some(0.0));
+
+    fs::remove_dir_all(&dir).ok();
+}

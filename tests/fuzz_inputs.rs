@@ -242,3 +242,261 @@ mod index_corruption {
         }
     }
 }
+
+mod reader_parity {
+    //! The streaming packed FASTA parser against the line-based reader it
+    //! replaced: on every input, the same contigs, or the same error
+    //! variant and payload, and the same `degraded` flag.
+
+    use crispr_offtarget::genome::{fasta, GenomeError};
+    use proptest::prelude::*;
+    use std::io::{self, Read};
+
+    /// The line-based reader the streaming parser replaced, kept verbatim
+    /// as the parity oracle (minus its trace span and failpoint, which
+    /// do not touch the parse).
+    mod oracle {
+        use crispr_offtarget::genome::{Base, DnaSeq, Genome, GenomeError};
+        use std::io::{BufRead, BufReader, Read};
+
+        pub fn read_genome_resilient(bytes: &[u8]) -> Result<(Genome, bool), GenomeError> {
+            match read_impl(bytes, false) {
+                Ok(genome) => Ok((genome, false)),
+                Err(GenomeError::InvalidBase { .. }) => {
+                    read_impl(bytes, true).map(|genome| (genome, true))
+                }
+                Err(e) => Err(e),
+            }
+        }
+
+        pub fn read_impl<R: Read>(reader: R, lossy: bool) -> Result<Genome, GenomeError> {
+            let reader = BufReader::new(reader);
+            let mut genome = Genome::new();
+            let mut name: Option<String> = None;
+            let mut seq = DnaSeq::new();
+            let mut offset = 0usize;
+
+            for (line_no, line) in reader.lines().enumerate() {
+                let line = line?;
+                let line = line.trim_end();
+                if line.is_empty() {
+                    continue;
+                }
+                if let Some(header) = line.strip_prefix('>') {
+                    if let Some(prev) = name.take() {
+                        genome.add_contig(prev, std::mem::take(&mut seq))?;
+                    }
+                    let token = header.split_whitespace().next().unwrap_or("");
+                    name = Some(token.to_string());
+                } else {
+                    if name.is_none() {
+                        return Err(GenomeError::MalformedFasta {
+                            line: line_no + 1,
+                            reason: "sequence data before first '>' header",
+                        });
+                    }
+                    for byte in line.bytes() {
+                        match Base::from_ascii(byte) {
+                            Some(b) => seq.push(b),
+                            None if lossy => {}
+                            None => return Err(GenomeError::InvalidBase { byte, offset }),
+                        }
+                        offset += 1;
+                    }
+                }
+            }
+            if let Some(prev) = name {
+                genome.add_contig(prev, seq)?;
+            }
+            Ok(genome)
+        }
+    }
+
+    /// Hands its bytes out 1–7 per `read`, so buffer ends fall inside
+    /// headers, base runs, CRLF pairs and multi-byte characters.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.step = (self.step * 5 + 3) % 7 + 1;
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// An error as its variant and payload; I/O errors by kind and text.
+    fn describe(e: GenomeError) -> String {
+        match e {
+            GenomeError::Io(io) => format!("Io({:?}: {io})", io.kind()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    fn outcome<T>(result: Result<T, GenomeError>) -> Result<T, String> {
+        result.map_err(describe)
+    }
+
+    /// Asserts every reader, fed whole and in 1–7-byte reads, agrees
+    /// with the oracle on `bytes`.
+    fn assert_parity(bytes: &[u8], phase: usize) {
+        let at = || format!("input {:?}", String::from_utf8_lossy(bytes));
+        let trickle = || Trickle { data: bytes, step: phase };
+        let strict = outcome(oracle::read_impl(bytes, false));
+        assert_eq!(outcome(fasta::read_genome(bytes)), strict, "strict, {}", at());
+        assert_eq!(outcome(fasta::read_genome(trickle())), strict, "strict trickle, {}", at());
+        let lossy = outcome(oracle::read_impl(bytes, true));
+        assert_eq!(outcome(fasta::read_genome_lossy(bytes)), lossy, "lossy, {}", at());
+        assert_eq!(outcome(fasta::read_genome_lossy(trickle())), lossy, "lossy trickle, {}", at());
+        let resilient = outcome(oracle::read_genome_resilient(bytes));
+        assert_eq!(outcome(fasta::read_genome_resilient(bytes)), resilient, "resilient, {}", at());
+        let packed = resilient.map(|(genome, degraded)| (genome.pack(), degraded));
+        assert_eq!(outcome(fasta::read_packed_resilient(bytes)), packed, "packed, {}", at());
+        assert_eq!(
+            outcome(fasta::read_packed_resilient(trickle())),
+            packed,
+            "packed trickle, {}",
+            at()
+        );
+    }
+
+    /// FASTA-shaped fragments: headers (with descriptions, empty names
+    /// and a repeated name), line ends, blank and whitespace-only lines,
+    /// bases in both cases, N/IUPAC runs, interior and trailing ASCII
+    /// and Unicode whitespace, non-ASCII letters and invalid UTF-8, plus
+    /// base runs long enough for the eight-byte path.
+    fn pieces() -> Vec<Vec<u8>> {
+        let text = [
+            ">chr1\n",
+            ">chr2 a description\n",
+            ">chr1\tagain\n",
+            ">\n",
+            ">  \r\n",
+            "> spaced\n",
+            ">n\u{a0}x\n",
+            "\n",
+            "\r\n",
+            "  \n",
+            "\t\r\n",
+            "\x0b\x0c\n",
+            "ACGT",
+            "acgt",
+            "GATTACA",
+            "NNNN",
+            "RYKMSW",
+            "N",
+            "AC GT",
+            " ",
+            "\t",
+            "\x0b",
+            "\x0c",
+            "\r",
+            "\u{a0}",
+            "\u{e9}",
+            "\u{2028}",
+            "\u{3000}",
+            "ACGTTGCAACGTTGCAACGTTGCAACGTTGCAACG",
+            "ggccttaaGGCCTTAAggccttaaGGCCTTAAggccttaaGGCCTTAAggccttaaGGCCTTAAg",
+        ];
+        let mut pieces: Vec<Vec<u8>> = text.iter().map(|s| s.as_bytes().to_vec()).collect();
+        pieces.extend([b"\xff".to_vec(), b"\xc3".to_vec(), b"\x80A".to_vec()]);
+        pieces
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary sequences of FASTA fragments, half of them opened by
+        /// a header so that the success paths are reached as often as
+        /// the error paths.
+        #[test]
+        fn streaming_reader_matches_the_line_reader(
+            headed in 0..2usize,
+            parts in prop::collection::vec(prop::sample::select(pieces()), 0..48),
+            phase in 0..7usize,
+        ) {
+            let mut bytes = if headed == 1 { b">first\n".to_vec() } else { Vec::new() };
+            bytes.extend(parts.concat());
+            assert_parity(&bytes, phase);
+        }
+
+        /// Mostly-valid files: many contigs of wrapped, mixed-case bases
+        /// with CRLF or LF endings and the odd blank line.
+        #[test]
+        fn streaming_reader_matches_on_wrapped_contigs(
+            lines in prop::collection::vec("[ACGTacgtN]{0,90}", 1..40),
+            ending in prop::sample::select(vec!["\n", "\r\n", " \n", "\t\x0c\n"]),
+            every in 3..9usize,
+            phase in 0..7usize,
+        ) {
+            let mut text = String::new();
+            for (i, line) in lines.iter().enumerate() {
+                if i % every == 0 {
+                    text.push_str(&format!(">c{} d\n", i / every));
+                }
+                text.push_str(line);
+                text.push_str(ending);
+            }
+            assert_parity(text.as_bytes(), phase);
+        }
+    }
+
+    /// A single-line 1 Mbp contig: far longer than the read buffer, so
+    /// the line is consumed in pieces.
+    #[test]
+    fn a_one_megabase_line_parses_like_the_line_reader() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut bytes = b">long one line\n".to_vec();
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            bytes.push(b"ACGTacgt"[(state % 8) as usize]);
+        }
+        bytes.extend(b"\r\n>tail\nACGT");
+        assert_parity(&bytes, 0);
+        assert_eq!(fasta::read_genome(bytes.as_slice()).unwrap().total_len(), 1_000_004);
+    }
+
+    /// Name checks stay linear in the contig count: 200 000 one-line
+    /// contigs parse through every reader, and a repeated name planted
+    /// among them is still rejected by name.
+    #[test]
+    fn two_hundred_thousand_contigs_parse_and_a_planted_duplicate_is_named() {
+        const CONTIGS: usize = 200_000;
+        let mut bytes = Vec::with_capacity(CONTIGS * 80);
+        for i in 0..CONTIGS {
+            bytes.extend(
+                format!(
+                    ">scaffold_{i}\nACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT\n"
+                )
+                .bytes(),
+            );
+        }
+        let strict = fasta::read_genome(bytes.as_slice()).unwrap();
+        assert_eq!((strict.contig_count(), strict.total_len()), (CONTIGS, CONTIGS * 60));
+        assert_eq!(fasta::read_genome_lossy(bytes.as_slice()).unwrap(), strict);
+        let (resilient, degraded) = fasta::read_genome_resilient(&bytes).unwrap();
+        assert!(!degraded);
+        assert_eq!(resilient, strict);
+        let (packed, _) = fasta::read_packed_resilient(bytes.as_slice()).unwrap();
+        assert_eq!(packed.contig_count(), CONTIGS);
+
+        bytes.extend(b">scaffold_123456\nACGT\n>after\nACGT\n");
+        for result in [
+            fasta::read_genome(bytes.as_slice()),
+            fasta::read_genome_lossy(bytes.as_slice()),
+            fasta::read_genome_resilient(&bytes).map(|(genome, _)| genome),
+        ] {
+            let err = result.expect_err("the repeated name is rejected");
+            assert!(
+                matches!(err, GenomeError::DuplicateContig(ref name) if name == "scaffold_123456"),
+                "{err}"
+            );
+        }
+    }
+}
