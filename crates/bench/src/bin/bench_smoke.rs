@@ -196,7 +196,15 @@ fn bench_index() -> IndexBench {
     let reopened = GenomeIndex::open(&idx_path).expect("open index");
     let open_s = open_start.elapsed().as_secs_f64();
     let mut index_m = SearchMetrics::default();
-    engine.search_metered_indexed(&reopened, None, &guides, K, &mut index_m).expect("index scan");
+    engine
+        .search_cancellable(
+            ScanSource::Index(&reopened),
+            &guides,
+            K,
+            &CancelToken::none(),
+            &mut index_m,
+        )
+        .expect("index scan");
     assert_eq!(
         fasta_m.counters.raw_hits, index_m.counters.raw_hits,
         "index and FASTA scans must agree before their timings mean anything"

@@ -1,5 +1,5 @@
 use crate::Platform;
-use crispr_engines::ChunkFailure;
+use crispr_engines::{CancelKind, ChunkFailure};
 use crispr_guides::Hit;
 use crispr_model::{SearchMetrics, TimingBreakdown};
 
@@ -8,9 +8,11 @@ use crispr_model::{SearchMetrics, TimingBreakdown};
 /// A report may be *partial*: the pipeline survived, but some genome
 /// chunks exhausted their retry budget. The recovered hits and full
 /// metrics are still here — the partial-results contract — with the
-/// per-chunk provenance in [`SearchReport::chunk_failures`]. Callers
-/// that must not act on incomplete data branch on
-/// [`SearchReport::is_partial`].
+/// per-chunk provenance in [`SearchReport::chunk_failures`]. A report may
+/// also be *cancelled*: the run's cancel token tripped before every
+/// chunk was scanned, and the hits and metrics cover the chunks that
+/// completed. Callers that must not act on incomplete data branch on
+/// [`SearchReport::is_partial`] and [`SearchReport::cancelled`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchReport {
     platform: Platform,
@@ -20,6 +22,8 @@ pub struct SearchReport {
     guide_count: usize,
     k: usize,
     chunk_failures: Vec<ChunkFailure>,
+    cancelled: Option<CancelKind>,
+    chunks_scanned: u64,
     chunks_total: u64,
 }
 
@@ -40,6 +44,8 @@ impl SearchReport {
             guide_count,
             k,
             chunk_failures: Vec::new(),
+            cancelled: None,
+            chunks_scanned: 0,
             chunks_total: 0,
         }
     }
@@ -50,6 +56,18 @@ impl SearchReport {
         chunks_total: u64,
     ) -> SearchReport {
         self.chunk_failures = failures;
+        self.chunks_total = chunks_total;
+        self
+    }
+
+    pub(crate) fn with_cancellation(
+        mut self,
+        kind: CancelKind,
+        chunks_scanned: u64,
+        chunks_total: u64,
+    ) -> SearchReport {
+        self.cancelled = Some(kind);
+        self.chunks_scanned = chunks_scanned;
         self.chunks_total = chunks_total;
         self
     }
@@ -116,9 +134,23 @@ impl SearchReport {
         &self.chunk_failures
     }
 
-    /// Total chunks the deployment enqueued when this report is partial
-    /// (zero for a complete run — chunk accounting lives in
-    /// [`SearchReport::metrics`] there).
+    /// Why the run stopped before scanning every chunk, when its cancel
+    /// token tripped (a manual trip or an expired deadline); `None` for
+    /// a run that was not cut short. [`SearchReport::hits`] then covers
+    /// only the chunks that completed.
+    pub fn cancelled(&self) -> Option<CancelKind> {
+        self.cancelled
+    }
+
+    /// Chunks scanned to completion when this report is cancelled (zero
+    /// otherwise).
+    pub fn chunks_scanned(&self) -> u64 {
+        self.chunks_scanned
+    }
+
+    /// Total chunks the run would have scanned when this report is
+    /// partial or cancelled (zero for a complete run — chunk accounting
+    /// lives in [`SearchReport::metrics`] there).
     pub fn chunks_total(&self) -> u64 {
         self.chunks_total
     }

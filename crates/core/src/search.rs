@@ -1,7 +1,8 @@
 use crate::{Platform, SearchReport};
 use crispr_engines::{
-    BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine,
-    EngineError, NfaEngine, ParallelEngine, ScalarEngine, ScanSource, SearchError,
+    BitParallelEngine, CancelKind, CancelToken, CasOffinderCpuEngine, CasotEngine, ChunkFailure,
+    DfaEngine, Engine, EngineError, NfaEngine, ParallelEngine, ScalarEngine, ScanSource,
+    SearchError,
 };
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::{Genome, PackedGenome};
@@ -60,13 +61,13 @@ impl OffTargetSearch {
         OffTargetSearch::from_source(GenomeSource::Packed(genome))
     }
 
-    /// Starts a search over an opened on-disk index. Single-threaded CPU
-    /// platforms scan the index's packed payloads directly (optionally in
-    /// bounded-memory shards, see [`OffTargetSearch::shard`]); threaded
-    /// runs copy the packed payloads out once and fan packed chunks out,
-    /// and the modeled accelerators unpack the genome once — either cost
-    /// charged to `genome_load_s`. Hit sets are identical to
-    /// [`OffTargetSearch::new`] on the genome the index was built from.
+    /// Starts a search over an opened on-disk index. CPU platforms read
+    /// each contig or chunk's packed words and bitmaps straight out of
+    /// the index (optionally in bounded-memory shards, see
+    /// [`OffTargetSearch::shard`]), and the modeled accelerators unpack
+    /// the genome once — either cost charged to `genome_load_s`. Hit
+    /// sets are identical to [`OffTargetSearch::new`] on the genome the
+    /// index was built from.
     pub fn from_index(index: Arc<GenomeIndex>) -> OffTargetSearch {
         OffTargetSearch::from_source(GenomeSource::Index(index))
     }
@@ -87,11 +88,19 @@ impl OffTargetSearch {
         }
     }
 
-    /// Streams each contig of an indexed scan in shards of `len` window
-    /// starts, bounding resident memory by one shard instead of one
-    /// contig — hits and counters are unchanged. Ignored on the
-    /// in-memory path and by threaded/modeled runs.
+    /// Scans CPU platforms in chunks of `len` window starts (plus the
+    /// `site_len − 1` overlap) through the chunked driver, at the run's
+    /// thread count. From an index this bounds resident memory by the
+    /// chunks in flight instead of one contig. Hits and counters are
+    /// unchanged, except `bit_steps`, which re-steps the overlaps.
+    /// Ignored by the modeled platforms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is `Some(0)`: a shard holds at least one window
+    /// start.
     pub fn shard(mut self, len: Option<usize>) -> OffTargetSearch {
+        assert!(len != Some(0), "shard length must be at least 1");
         self.shard = len;
         self
     }
@@ -128,9 +137,10 @@ impl OffTargetSearch {
         self
     }
 
-    /// Sets the per-chunk retry budget for multi-threaded runs (how many
-    /// times a failed chunk is re-queued before it is reported in a
-    /// partial-result error). Ignored when `threads` is 1.
+    /// Sets the per-chunk retry budget for chunked runs (how many times a
+    /// failed chunk is re-queued before it is reported in a
+    /// partial-result error). Ignored by a serial run without a shard
+    /// length.
     pub fn chunk_retries(mut self, retries: u32) -> OffTargetSearch {
         self.chunk_retries = retries;
         self
@@ -158,12 +168,12 @@ impl OffTargetSearch {
     }
 
     /// Arms a cooperative [`CancelToken`] for the run: CPU platforms poll
-    /// it at every chunk/contig/shard boundary, so a manual trip or an
-    /// expired deadline stops the scan within one chunk-scan and
-    /// surfaces as [`SearchError::Cancelled`] /
-    /// [`SearchError::DeadlineExceeded`] carrying the hits recovered
-    /// from completed chunks. The modeled accelerators check only
-    /// between phases (their kernels are closed-form models).
+    /// it at every chunk or contig boundary, so a manual trip or an
+    /// expired deadline stops the scan within one chunk-scan. The run
+    /// still returns a report, flagged by [`SearchReport::cancelled`],
+    /// with the hits recovered from completed chunks and the metrics of
+    /// the work done. The modeled accelerators check only before they
+    /// start (their kernels are closed-form models).
     pub fn cancel_token(mut self, cancel: CancelToken) -> OffTargetSearch {
         self.cancel = cancel;
         self
@@ -178,30 +188,77 @@ impl OffTargetSearch {
 
     /// Executes the search.
     ///
-    /// A multi-threaded run in which some chunks failed every retry still
-    /// returns `Ok`: the report carries the recovered hits and full
-    /// metrics, with the failure provenance in
-    /// [`SearchReport::chunk_failures`] — check
-    /// [`SearchReport::is_partial`] before treating the hit set as
-    /// complete. (This is the partial-results contract the CLI's exit
-    /// code 3 and the serve layer's 206 responses are built on.)
+    /// A run that stopped short still returns `Ok`, with the recovered
+    /// hits and the metrics of the work done:
+    ///
+    /// * some chunks of a chunked run failed every retry — the failure
+    ///   provenance is in [`SearchReport::chunk_failures`], and
+    ///   [`SearchReport::is_partial`] is set (the CLI's exit code 3 and
+    ///   the serve layer's 206 responses are built on this);
+    /// * the cancel token tripped — [`SearchReport::cancelled`] says why
+    ///   (the CLI's exit code 4).
+    ///
+    /// Check both before treating the hit set as complete.
     ///
     /// # Errors
     ///
     /// Guide-validation, compilation, or platform-capacity errors from the
     /// selected backend.
     pub fn run(&self) -> Result<SearchReport, EngineError> {
-        // A token already tripped when the run starts (deadline in the
-        // past, client gone) fails fast before any compile or unpack
-        // work — this is also the only cancellation point the modeled
-        // accelerators get, since their kernels are closed-form models.
-        if let Err(kind) = self.cancel.check() {
-            return Err(SearchError::from_cancel(kind, Vec::new(), 0, 0));
+        let (hits, mut metrics, shortfall) = match self.cancel.check() {
+            // A token already tripped when the run starts (deadline in
+            // the past, client gone) fails fast before any compile or
+            // unpack work — this is also the only cancellation point the
+            // modeled accelerators get, since their kernels are
+            // closed-form models.
+            Err(kind) => {
+                (Vec::new(), SearchMetrics::default(), Some(Shortfall::Cancelled(kind, 0, 0)))
+            }
+            Ok(()) => self.dispatch()?,
+        };
+        metrics.counters.degraded_paths += self.input_degradations;
+        metrics.phases.genome_load_s += self.pack_s;
+        if let GenomeSource::Index(index) = &self.source {
+            metrics.set_gauge("index_cache", 1.0);
+            metrics.set_gauge("index_mmap", if index.mapped() { 1.0 } else { 0.0 });
+            metrics.set_gauge("index_load_s", self.index_load_s);
+            if let Some(shard) = self.shard {
+                metrics.set_gauge("index_shard_len", shard as f64);
+            }
         }
+        if let Some(Shortfall::Cancelled(_, chunks_scanned, chunks_total)) = shortfall {
+            // A run cut short is labelled by its platform whether or not
+            // an engine had started, so the label does not depend on
+            // where the trip landed.
+            metrics.engine = self.platform.name().to_string();
+            metrics.set_gauge("chunks_scanned", chunks_scanned as f64);
+            metrics.set_gauge("chunks_total", chunks_total as f64);
+        }
+        let report = SearchReport::new(
+            self.platform,
+            hits,
+            metrics,
+            self.total_len(),
+            self.guides.len(),
+            self.k,
+        );
+        Ok(match shortfall {
+            None => report,
+            Some(Shortfall::Failed(failures, chunks_total)) => {
+                report.with_failures(failures, chunks_total)
+            }
+            Some(Shortfall::Cancelled(kind, chunks_scanned, chunks_total)) => {
+                report.with_cancellation(kind, chunks_scanned, chunks_total)
+            }
+        })
+    }
+
+    /// Runs the selected platform on a live token.
+    fn dispatch(&self) -> Result<Outcome, EngineError> {
         // Modeled accelerators consume a byte-per-base genome; it is
         // unpacked here (once) and the unpack charged below.
         let modeled_genome = if self.platform.is_modeled() { Some(self.unpacked()?) } else { None };
-        let (hits, mut metrics, partial) = match self.platform {
+        let (hits, mut metrics, shortfall) = match self.platform {
             Platform::CpuScalar => self.run_cpu(ScalarEngine::new())?,
             Platform::CpuCasOffinder => self.run_cpu(CasOffinderCpuEngine::new())?,
             Platform::CpuCasot => self.run_cpu(CasotEngine::new())?,
@@ -257,105 +314,61 @@ impl OffTargetSearch {
                 (report.hits, m, None)
             }
         };
-        metrics.counters.degraded_paths += self.input_degradations;
-        metrics.phases.genome_load_s += self.pack_s;
         if let Some((_, unpack_s)) = &modeled_genome {
             metrics.phases.genome_load_s += unpack_s;
         }
-        if let GenomeSource::Index(index) = &self.source {
-            metrics.set_gauge("index_cache", 1.0);
-            metrics.set_gauge("index_mmap", if index.mapped() { 1.0 } else { 0.0 });
-            metrics.set_gauge("index_load_s", self.index_load_s);
-            if let Some(shard) = self.shard {
-                metrics.set_gauge("index_shard_len", shard as f64);
-            }
-        }
-        let report = SearchReport::new(
-            self.platform,
-            hits,
-            metrics,
-            self.total_len(),
-            self.guides.len(),
-            self.k,
-        );
-        Ok(match partial {
-            Some((failures, chunks_total)) => report.with_failures(failures, chunks_total),
-            None => report,
-        })
+        Ok((hits, metrics, shortfall))
     }
 
-    /// Runs a CPU engine (parallel-wrapped when `threads > 1`) with full
-    /// metering: the engine attributes guide compilation to the config
-    /// bucket and the scan to the kernel bucket, so `kernel_s` no longer
-    /// absorbs compile time the way the old lumped measurement did.
+    /// Runs a CPU engine with full metering: the engine attributes guide
+    /// compilation to the config bucket and the scan to the kernel
+    /// bucket, so `kernel_s` no longer absorbs compile time the way the
+    /// old lumped measurement did.
     ///
-    /// Both paths go through the engine's prepare/scan split
-    /// (`Engine::prepare` once, `PreparedSearch::scan_packed` per contig
-    /// or chunk — see DESIGN.md §7.1), so `guide_compile_s` is paid once
-    /// regardless of `threads`, and the parallel wrapper fans the same
-    /// prepared searcher out over borrowed packed chunks.
+    /// A serial run without a shard length takes the engine's own serial
+    /// driver; threaded or sharded runs go through `ParallelEngine`, whose
+    /// chunk length is the shard. Both go through the engine's
+    /// prepare/scan split (`Engine::prepare` once,
+    /// `PreparedSearch::scan_packed` per contig or chunk — see
+    /// DESIGN.md §7.1), so `guide_compile_s` is paid once regardless of
+    /// `threads`, and either driver reads the packed genome or the index
+    /// in place.
     ///
-    /// A partial outcome (some chunks failed every retry) is *not* an
-    /// error at this level: the parallel deployment delivers the
-    /// recovered hits inside [`SearchError::Partial`] and fully populates
-    /// `metrics` before returning, so the partial branch unwraps both and
-    /// hands the failure provenance up for the report.
-    #[allow(clippy::type_complexity)]
-    fn run_cpu<E: Engine + Sync>(
-        &self,
-        engine: E,
-    ) -> Result<(Vec<Hit>, SearchMetrics, Option<PartialOutcome>), EngineError> {
+    /// A run that stopped short is *not* an error at this level: the
+    /// drivers deliver the recovered hits inside
+    /// [`SearchError::Partial`] or the cancellation variants and fill
+    /// `metrics` before returning, so those branches unwrap both and
+    /// hand the shortfall up for the report.
+    fn run_cpu<E: Engine + Sync>(&self, engine: E) -> Result<Outcome, EngineError> {
         let mut metrics = SearchMetrics::default();
-        if self.threads > 1 {
-            let copied;
-            let source = match &self.source {
-                GenomeSource::Packed(genome) => genome,
-                GenomeSource::Index(index) => {
-                    // Workers scan packed chunks: the index's payloads are
-                    // copied out once (charged to genome_load_s), never
-                    // unpacked.
-                    let copy_start = Instant::now();
-                    copied = index.to_packed();
-                    metrics.phases.genome_load_s += copy_start.elapsed().as_secs_f64();
-                    &copied
-                }
-            };
-            let result = ParallelEngine::new(engine, self.threads)
-                .with_retry_limit(self.chunk_retries)
-                .search_cancellable(
-                    ScanSource::Packed(source),
-                    &self.guides,
-                    self.k,
-                    &self.cancel,
-                    &mut metrics,
-                );
-            match result {
-                Ok(hits) => Ok((hits, metrics, None)),
-                Err(SearchError::Partial { failures, chunks_total, hits }) => {
-                    Ok((hits, metrics, Some((failures, chunks_total))))
-                }
-                Err(e) => Err(e),
+        let source = match &self.source {
+            GenomeSource::Packed(genome) => ScanSource::Packed(genome),
+            GenomeSource::Index(index) => ScanSource::Index(index),
+        };
+        let result = if self.threads > 1 || self.shard.is_some() {
+            let mut parallel =
+                ParallelEngine::new(engine, self.threads).with_retry_limit(self.chunk_retries);
+            if let Some(len) = self.shard {
+                parallel = parallel.with_chunk_len(len);
             }
+            parallel.search_cancellable(source, &self.guides, self.k, &self.cancel, &mut metrics)
         } else {
-            let hits = match &self.source {
-                GenomeSource::Packed(genome) => engine.search_cancellable(
-                    ScanSource::Packed(genome),
-                    &self.guides,
-                    self.k,
-                    &self.cancel,
-                    &mut metrics,
-                )?,
-                GenomeSource::Index(index) => engine.search_indexed_cancellable(
-                    index,
-                    self.shard,
-                    &self.guides,
-                    self.k,
-                    &self.cancel,
-                    &mut metrics,
-                )?,
-            };
-            Ok((hits, metrics, None))
-        }
+            engine.search_cancellable(source, &self.guides, self.k, &self.cancel, &mut metrics)
+        };
+        let (hits, shortfall) = match result {
+            Ok(hits) => (hits, None),
+            Err(SearchError::Partial { failures, chunks_total, hits }) => {
+                (hits, Some(Shortfall::Failed(failures, chunks_total)))
+            }
+            Err(e) if e.is_cancelled() => {
+                let (hits, scanned, total, deadline) = e.into_cancelled()?;
+                let kind =
+                    if deadline { CancelKind::DeadlineExceeded } else { CancelKind::Cancelled };
+                (hits, Some(Shortfall::Cancelled(kind, scanned, total)))
+            }
+            Err(e) => return Err(e),
+        };
+        Ok((hits, metrics, shortfall))
     }
 
     /// Total reference length without materializing anything.
@@ -378,9 +391,19 @@ impl OffTargetSearch {
     }
 }
 
-/// Chunk-failure provenance of a partial run: the failed chunks plus the
-/// total the deployment enqueued.
-type PartialOutcome = (Vec<crispr_engines::ChunkFailure>, u64);
+/// Why a run stopped before scanning every chunk.
+enum Shortfall {
+    /// Some chunks failed every retry: the failed chunks plus the total
+    /// the deployment enqueued.
+    Failed(Vec<ChunkFailure>, u64),
+    /// The cancel token tripped, after `chunks_scanned` of
+    /// `chunks_total` chunks.
+    Cancelled(CancelKind, u64, u64),
+}
+
+/// What a platform run hands back to [`OffTargetSearch::run`]: the hits,
+/// the metrics, and how it fell short, if it did.
+type Outcome = (Vec<Hit>, SearchMetrics, Option<Shortfall>);
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,4 @@
 use crate::{CancelToken, EngineError, ScanSource, SearchError};
-use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::pamindex::{AnchorScanner, BaseMasks};
 use crispr_genome::{Base, Genome, IupacCode, PackedSeq, Strand};
 use crispr_guides::{normalize, Guide, Hit, SitePattern};
@@ -139,10 +138,10 @@ pub trait Engine {
     }
 
     /// [`Engine::search_metered`] over any [`ScanSource`] — byte-per-base
-    /// or packed contigs — with a cooperative [`CancelToken`]: the token
-    /// is polled at every contig boundary, so a manual trip or an
-    /// expired deadline stops the scan within one contig-scan and
-    /// surfaces as [`SearchError::Cancelled`] /
+    /// or packed contigs, or an opened index — with a cooperative
+    /// [`CancelToken`]: the token is polled at every contig boundary, so
+    /// a manual trip or an expired deadline stops the scan within one
+    /// contig-scan and surfaces as [`SearchError::Cancelled`] /
     /// [`SearchError::DeadlineExceeded`] carrying the hits recovered from
     /// the contigs already scanned.
     ///
@@ -171,58 +170,6 @@ pub trait Engine {
         metrics.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
         prepared.record_gauges(metrics);
         let result = scan_genome_cancellable(prepared.as_ref(), source, cancel, metrics);
-        metrics.counters.faults_injected += faults.fired_since();
-        result
-    }
-
-    /// Runs the search against an opened on-disk index instead of a
-    /// byte-per-base genome — [`Engine::search_metered`] with
-    /// [`scan_genome_indexed`] as the scan driver. `shard_len` streams
-    /// each contig in shards of that many window starts to bound
-    /// resident memory; hits and counters are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::search_metered`].
-    fn search_metered_indexed(
-        &self,
-        index: &GenomeIndex,
-        shard_len: Option<usize>,
-        guides: &[Guide],
-        k: usize,
-        metrics: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        self.search_indexed_cancellable(index, shard_len, guides, k, &CancelToken::none(), metrics)
-    }
-
-    /// [`Engine::search_metered_indexed`] with a cooperative
-    /// [`CancelToken`], polled at every shard boundary — the indexed
-    /// counterpart of [`Engine::search_cancellable`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::search_metered_indexed`], plus the cancellation
-    /// variants.
-    fn search_indexed_cancellable(
-        &self,
-        index: &GenomeIndex,
-        shard_len: Option<usize>,
-        guides: &[Guide],
-        k: usize,
-        cancel: &CancelToken,
-        metrics: &mut SearchMetrics,
-    ) -> Result<Vec<Hit>, EngineError> {
-        let faults = crispr_failpoint::FireMark::now();
-        metrics.engine = self.name().to_string();
-        let compile_start = Instant::now();
-        let prepared = {
-            let _span = trace::span("phase:guide_compile");
-            self.prepare(guides, k)?
-        };
-        metrics.phases.guide_compile_s += compile_start.elapsed().as_secs_f64();
-        prepared.record_gauges(metrics);
-        let result =
-            scan_genome_indexed_cancellable(prepared.as_ref(), index, shard_len, cancel, metrics);
         metrics.counters.faults_injected += faults.fired_since();
         result
     }
@@ -266,9 +213,12 @@ fn finish_cancelled(
 /// [`CancelToken`] polled once per contig (one relaxed load; see
 /// `cancel.rs` for why checks sit at chunk boundaries). Byte-per-base
 /// contigs go to [`PreparedSearch::scan_slice`], packed ones — words and
-/// bitmaps borrowed as they are — to [`PreparedSearch::scan_packed`].
-/// On a trip, the hits recovered from fully-scanned contigs are
-/// normalized and returned inside the typed cancellation error.
+/// bitmaps borrowed as they are — to [`PreparedSearch::scan_packed`], and
+/// indexed ones to `scan_packed` after a whole-contig copy out of the
+/// mapping (charged to `genome_load_s`). A contig shorter than one site
+/// holds no window and is not scanned, as in the chunked driver. On a
+/// trip, the hits recovered from fully-scanned contigs are normalized
+/// and returned inside the typed cancellation error.
 ///
 /// # Errors
 ///
@@ -280,12 +230,14 @@ pub fn scan_genome_cancellable(
     cancel: &CancelToken,
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
-    let lens = source.contig_lens();
-    let chunks_total = lens.len() as u64;
+    let site_len = prepared.site_len();
+    let contigs: Vec<(usize, usize)> =
+        source.contig_lens().into_iter().enumerate().filter(|&(_, len)| len >= site_len).collect();
+    let chunks_total = contigs.len() as u64;
     let mut hits = Vec::new();
-    for (ci, &len) in lens.iter().enumerate() {
+    for (scanned, &(ci, len)) in contigs.iter().enumerate() {
         if let Err(kind) = cancel.check() {
-            return Err(finish_cancelled(kind, hits, ci as u64, chunks_total, m));
+            return Err(finish_cancelled(kind, hits, scanned as u64, chunks_total, m));
         }
         let before = hits.len();
         let contig_start = Instant::now();
@@ -300,113 +252,6 @@ pub fn scan_genome_cancellable(
         trace::progress::add(len as u64);
         for hit in &mut hits[before..] {
             hit.contig = ci as u32;
-        }
-    }
-    m.counters.raw_hits += hits.len() as u64;
-    m.finalize_derived_gauges();
-    let report_start = Instant::now();
-    {
-        let _span = trace::span("phase:report");
-        normalize(&mut hits);
-    }
-    m.phases.report_s += report_start.elapsed().as_secs_f64();
-    Ok(hits)
-}
-
-/// Drives a prepared search over an opened on-disk index — the
-/// counterpart of [`scan_genome`] that never touches FASTA or
-/// byte-per-base contigs. Each contig is read from the index in packed
-/// form (with its anchor bitmaps) and fed to
-/// [`PreparedSearch::scan_packed`].
-///
-/// With `shard_len = Some(n)`, each contig is streamed in shards of `n`
-/// window starts using the parallel deployment's partition geometry
-/// (shard slice `[start, start + n + site_len - 1)`, next start
-/// `start + n`): window starts partition exactly across shards, so hits
-/// and counters are identical to the unsharded pass while resident
-/// memory is bounded by one shard — the laptop path for a 3.2-Gbp
-/// reference. Contigs shorter than one site contribute nothing either
-/// way.
-///
-/// # Errors
-///
-/// Propagates [`PreparedSearch::scan_packed`] failures.
-pub fn scan_genome_indexed(
-    prepared: &dyn PreparedSearch,
-    index: &GenomeIndex,
-    shard_len: Option<usize>,
-    m: &mut SearchMetrics,
-) -> Result<Vec<Hit>, EngineError> {
-    scan_genome_indexed_cancellable(prepared, index, shard_len, &CancelToken::none(), m)
-}
-
-/// [`scan_genome_indexed`] with a cooperative [`CancelToken`], polled
-/// once per shard — the indexed counterpart of
-/// [`scan_genome_cancellable`].
-///
-/// # Errors
-///
-/// Propagates [`PreparedSearch::scan_packed`] failures, plus
-/// [`SearchError::Cancelled`] / [`SearchError::DeadlineExceeded`].
-pub fn scan_genome_indexed_cancellable(
-    prepared: &dyn PreparedSearch,
-    index: &GenomeIndex,
-    shard_len: Option<usize>,
-    cancel: &CancelToken,
-    m: &mut SearchMetrics,
-) -> Result<Vec<Hit>, EngineError> {
-    let site_len = prepared.site_len();
-    // Total shard count across contigs, so a cancelled run can report
-    // progress. Mirrors the loop below: every contig contributes at
-    // least one shard, plus one per further `shard` step that still
-    // leaves room for a full site.
-    let chunks_total: u64 = (0..index.contig_count())
-        .map(|ci| {
-            let contig_len = index.contig_len(ci);
-            let shard = shard_len.unwrap_or(contig_len).max(1);
-            if contig_len >= site_len {
-                1 + ((contig_len - site_len) / shard) as u64
-            } else {
-                1
-            }
-        })
-        .sum();
-    let mut chunks_scanned = 0u64;
-    let mut hits = Vec::new();
-    for ci in 0..index.contig_count() {
-        let contig_len = index.contig_len(ci);
-        let shard = shard_len.unwrap_or(contig_len).max(1);
-        // Every contig is scanned at least once — contigs shorter than a
-        // site yield no windows, but the engines still meter them (e.g.
-        // the register scan charges bit_steps per symbol delivered), and
-        // the serial FASTA driver feeds them through identically.
-        let mut start = 0usize;
-        loop {
-            if let Err(kind) = cancel.check() {
-                return Err(finish_cancelled(kind, hits, chunks_scanned, chunks_total, m));
-            }
-            let end = (start + shard + site_len - 1).min(contig_len);
-            let shard_start = Instant::now();
-            let before = hits.len();
-            {
-                let _span = trace::span_args("shard", ci as u64, (end - start) as u64);
-                let load_start = Instant::now();
-                let packed = index.contig_packed_range(ci, start, end - start);
-                let masks = index.contig_masks_range(ci, start, end - start);
-                m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-                prepared.scan_packed(&packed, &masks, &mut hits, m)?;
-            }
-            m.observe("chunk_scan_s", shard_start.elapsed().as_secs_f64());
-            trace::progress::add((end - start) as u64);
-            for hit in &mut hits[before..] {
-                hit.contig = ci as u32;
-                hit.pos += start as u64;
-            }
-            chunks_scanned += 1;
-            start += shard;
-            if start + site_len > contig_len {
-                break;
-            }
         }
     }
     m.counters.raw_hits += hits.len() as u64;

@@ -61,10 +61,7 @@ pub mod simd;
 pub use bitparallel::BitParallelEngine;
 pub use cancel::{CancelKind, CancelToken};
 pub use casot::CasotEngine;
-pub use engine::{
-    scan_genome, scan_genome_cancellable, scan_genome_indexed, scan_genome_indexed_cancellable,
-    Engine, PreparedSearch, ScalarEngine,
-};
+pub use engine::{scan_genome, scan_genome_cancellable, Engine, PreparedSearch, ScalarEngine};
 pub use error::{ChunkFailure, SearchError};
 
 /// Historic alias for [`SearchError`], kept for source compatibility:

@@ -9,7 +9,10 @@
 //! is scanned the same way through [`PreparedSearch::scan_packed`]: a
 //! whole-contig chunk borrows the resident words and bitmaps, and only a
 //! sub-contig chunk pays a re-aligned copy (charged to the worker's
-//! `genome_load_s`). Chunks overlap by `site_len − 1` bases so
+//! `genome_load_s`); an opened index ([`ScanSource::Index`]) pays that
+//! copy for every chunk, read straight out of the mapping. Contigs
+//! shorter than one site hold no window and yield no chunk. Chunks
+//! overlap by `site_len − 1` bases so
 //! no window is lost at a boundary; hits are shifted back to contig
 //! coordinates and re-normalized (overlap regions produce duplicate hits
 //! by construction; normalization removes them). This is the standard way
@@ -42,6 +45,7 @@
 use crate::engine::{Engine, PreparedSearch};
 use crate::error::ChunkFailure;
 use crate::{CancelToken, EngineError, SearchError};
+use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::{Base, Genome, PackedContig, PackedGenome};
 use crispr_guides::{normalize, Guide, Hit};
 use crispr_model::{ParallelMetrics, SearchMetrics, ThreadStats};
@@ -66,8 +70,9 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 use crate::degrade::panic_cause;
 
-/// What a deployment scans: byte-per-base contigs, or packed contigs
-/// whose chunks reach [`PreparedSearch::scan_packed`] unchanged.
+/// What a driver scans: byte-per-base contigs, packed contigs whose
+/// chunks reach [`PreparedSearch::scan_packed`] unchanged, or an opened
+/// on-disk index.
 #[derive(Debug, Clone, Copy)]
 pub enum ScanSource<'g> {
     /// A byte-per-base genome; chunks are borrowed base slices.
@@ -75,6 +80,11 @@ pub enum ScanSource<'g> {
     /// A packed genome; a whole-contig chunk borrows the resident words
     /// and bitmaps, a sub-contig chunk gets a re-aligned copy.
     Packed(&'g PackedGenome),
+    /// An opened [`GenomeIndex`]; every chunk is a ranged copy of the
+    /// packed words and bitmaps out of the mapping (charged to
+    /// `genome_load_s`), so resident memory is bounded by the chunks in
+    /// flight, not the genome.
+    Index(&'g GenomeIndex),
 }
 
 impl<'g> From<&'g Genome> for ScanSource<'g> {
@@ -94,6 +104,9 @@ impl<'g> ScanSource<'g> {
         match self {
             ScanSource::Bases(g) => g.contigs().iter().map(|c| c.len()).collect(),
             ScanSource::Packed(g) => g.contigs().iter().map(PackedContig::len).collect(),
+            ScanSource::Index(index) => {
+                (0..index.contig_count()).map(|ci| index.contig_len(ci)).collect()
+            }
         }
     }
 
@@ -101,6 +114,7 @@ impl<'g> ScanSource<'g> {
         match self {
             ScanSource::Bases(g) => g.contigs()[ci].name(),
             ScanSource::Packed(g) => g.contigs()[ci].name(),
+            ScanSource::Index(index) => index.contig_name(ci),
         }
     }
 
@@ -111,22 +125,25 @@ impl<'g> ScanSource<'g> {
             ScanSource::Packed(g) => {
                 ChunkData::Packed { contig: &g.contigs()[ci], start, len: end - start }
             }
+            ScanSource::Index(index) => ChunkData::Index { index, ci, start, len: end - start },
         }
     }
 }
 
-/// One chunk's bases: a borrowed slice, or a range of a packed contig.
+/// One chunk's bases: a borrowed slice, a range of a packed contig, or a
+/// range of an indexed contig.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ChunkData<'g> {
     Bases(&'g [Base]),
     Packed { contig: &'g PackedContig, start: usize, len: usize },
+    Index { index: &'g GenomeIndex, ci: usize, start: usize, len: usize },
 }
 
 impl ChunkData<'_> {
     fn len(&self) -> usize {
         match self {
             ChunkData::Bases(slice) => slice.len(),
-            ChunkData::Packed { len, .. } => *len,
+            ChunkData::Packed { len, .. } | ChunkData::Index { len, .. } => *len,
         }
     }
 
@@ -137,19 +154,24 @@ impl ChunkData<'_> {
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
-        match *self {
-            ChunkData::Bases(slice) => prepared.scan_slice(slice, out, m),
+        // Chunks that borrow scan in place; the rest are copied out of
+        // their source first, and the copy is charged to genome_load_s.
+        let load_start = Instant::now();
+        let (seq, masks) = match *self {
+            ChunkData::Bases(slice) => return prepared.scan_slice(slice, out, m),
             ChunkData::Packed { contig, start: 0, len } if len == contig.len() => {
-                prepared.scan_packed(contig.seq(), contig.masks(), out, m)
+                return prepared.scan_packed(contig.seq(), contig.masks(), out, m);
             }
             ChunkData::Packed { contig, start, len } => {
-                let load_start = Instant::now();
-                let seq = contig.seq().range(start, len);
-                let masks = contig.masks().range(start, len);
-                m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-                prepared.scan_packed(&seq, &masks, out, m)
+                (contig.seq().range(start, len), contig.masks().range(start, len))
             }
-        }
+            ChunkData::Index { index, ci, start, len } => (
+                index.contig_packed_range(ci, start, len),
+                index.contig_masks_range(ci, start, len),
+            ),
+        };
+        m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
+        prepared.scan_packed(&seq, &masks, out, m)
     }
 }
 
@@ -251,9 +273,13 @@ impl<E: Engine + Sync> ParallelEngine<E> {
     }
 
     /// Overrides the per-chunk base length (normally `contig length /
-    /// thread count`). A test-surface knob: adversarially small chunks —
-    /// around one site length — maximize boundary traffic and are how the
-    /// chunk-boundary regressions pin down overlap handling.
+    /// thread count`): each chunk then holds `chunk_len` window starts
+    /// plus the `site_len − 1` overlap. From an index
+    /// ([`ScanSource::Index`]) this bounds resident memory by the chunks
+    /// in flight — `search --index --shard N` is this knob. Adversarially
+    /// small chunks (around one site length) maximize boundary traffic
+    /// and are how the chunk-boundary regressions pin down overlap
+    /// handling.
     ///
     /// # Panics
     ///
@@ -271,7 +297,9 @@ impl<E: Engine + Sync> ParallelEngine<E> {
 }
 
 /// Splits contigs into overlapping chunk work items borrowing the
-/// genome: `(contig index, chunk start, chunk data)`.
+/// genome: `(contig index, chunk start, chunk data)`. A contig shorter
+/// than one site holds no window and yields no chunk — the serial driver
+/// skips it too, so both drivers meter the same bases.
 fn chunks<'g>(
     source: ScanSource<'g>,
     site_len: usize,

@@ -1,7 +1,7 @@
 //! The persistent on-disk genome index: 2-bit packed bases, per-base
-//! anchor bitmaps, and dense q-gram tables in one versioned, checksummed
-//! binary file that a scan can mmap and consume without re-reading FASTA
-//! or rebuilding prefilter state.
+//! anchor bitmaps, and optional dense q-gram tables in one versioned,
+//! checksummed binary file that a scan can mmap and consume without
+//! re-reading FASTA or rebuilding prefilter state.
 //!
 //! # File layout (all integers little-endian)
 //!
@@ -68,8 +68,10 @@ pub const MAGIC: [u8; 8] = *b"CRISPRIX";
 /// The one format version this build writes and reads.
 pub const VERSION: u32 = 1;
 
-/// Default q for the dense q-gram section.
-pub const DEFAULT_Q: usize = 8;
+/// Default q for the dense q-gram section: 0, no section. No scan reads
+/// it (the batched engines build their seed tables from the guides), so
+/// it is written only on request.
+pub const DEFAULT_Q: usize = 0;
 
 const SECTION_META: u32 = 1;
 const SECTION_PACKED: u32 = 2;
@@ -515,7 +517,7 @@ impl GenomeIndex {
     /// Copies every contig's packed words and base bitmaps out of the
     /// index into a resident [`PackedGenome`] — no unpack, no mask
     /// rebuild: one linear word copy of 0.75 byte per base. What a
-    /// daemon or a multi-threaded scan holds instead of the mapping.
+    /// daemon holds instead of the mapping.
     pub fn to_packed(&self) -> PackedGenome {
         (0..self.contigs.len())
             .map(|ci| {

@@ -11,6 +11,7 @@
 //! ```
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
+use crispr_offtarget::engines::CancelKind;
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{fasta, Genome, PackedGenome};
 use crispr_offtarget::guides::{genset, io as guide_io, Guide, Pam};
@@ -129,13 +130,14 @@ arms named failpoints; kinds are panic, error, delay<ms>. Known sites:
 parallel.chunk fasta.read guides.read prefilter.build multiseed.build
 index.write serve.accept serve.worker serve.respond
 
-index: `offtarget index` serializes the 2-bit packed bases, per-base
-anchor bitmaps, and q-gram seed tables into one versioned, checksummed
-file; `search --index` / `serve --index` memory-map it (falling back to
-a buffered read) and skip the FASTA parse and all per-run derivation.
-`--shard N` streams each contig in N-window shards to bound resident
-memory on references larger than RAM. `--qgram 0` omits the seed
-tables.
+index: `offtarget index` serializes the 2-bit packed bases and per-base
+anchor bitmaps into one versioned, checksummed file (`--qgram Q` adds
+q-gram seed tables, which no scan reads); `search --index` / `serve
+--index` memory-map it (falling back to a buffered read) and skip the
+FASTA parse and all per-run derivation. `--shard N` (N >= 1) scans in
+chunks of N window starts on --threads workers, each read from the
+index when it is scanned, to bound resident memory on references larger
+than RAM; its --metrics carry the chunked driver's `parallel` block.
 
 exit codes: 0 success; 1 error; 2 usage; 3 partial results — some chunks
 failed every retry; the recovered hits and every requested sidecar
@@ -413,8 +415,8 @@ fn cmd_guides(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `offtarget index`: derives every per-genome table the engines need
-/// (packed bases, anchor bitmaps, q-gram seeds) once, and writes them as
-/// one checksummed file that later `search --index` runs memory-map.
+/// (packed bases, anchor bitmaps) once, and writes them as one
+/// checksummed file that later `search --index` runs memory-map.
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
     use crispr_offtarget::genome::diskindex::{GenomeIndex, DEFAULT_Q};
     let flags = parse_flags(args, INDEX_FLAGS)?;
@@ -475,7 +477,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         return Err("--genome and --index are mutually exclusive".into());
     }
     if flags.contains_key("shard") && !flags.contains_key("index") {
-        return Err("--shard requires --index (the direct path scans whole contigs)".into());
+        return Err("--shard requires --index (it bounds how much index is read at once)".into());
     }
     let (search, contig_names, total_bases) = match flags.get("index") {
         Some(path) => {
@@ -487,6 +489,9 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
                 Some(v) => Some(v.parse::<usize>().map_err(|e| format!("--shard {v:?}: {e}"))?),
                 None => None,
             };
+            if shard == Some(0) {
+                return Err("--shard 0: a shard holds at least one window start".into());
+            }
             let names: Vec<String> =
                 (0..index.contig_count()).map(|ci| index.contig_name(ci).to_string()).collect();
             let total = index.total_len() as u64;
@@ -541,74 +546,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         }
         None => Ok(()),
     };
-    // The `--timeout` contract mirrors the partial-results one: a run the
-    // deadline tripped still writes every hit recovered from the chunks
-    // that completed, then exits 4 so pipelines can tell "out of time"
-    // from "broken" (1) and "some chunks failed" (3).
-    let report = match search_result {
-        Ok(report) => report,
-        Err(e) if e.is_cancelled() => {
-            let (hits, chunks_scanned, chunks_total, deadline) =
-                e.into_cancelled().expect("is_cancelled checked");
-            let mut writer = out_writer(&flags)?;
-            match format {
-                "tsv" => {
-                    writeln!(writer, "#guide\tcontig\tpos\tstrand\tmismatches")?;
-                    for hit in &hits {
-                        writeln!(
-                            writer,
-                            "{}\t{}\t{}\t{}\t{}",
-                            guides[hit.guide as usize].id(),
-                            contig_names[hit.contig as usize],
-                            hit.pos,
-                            hit.strand,
-                            hit.mismatches
-                        )?;
-                    }
-                }
-                "json" => {
-                    writeln!(writer, "{{")?;
-                    writeln!(writer, "  \"platform\": \"{}\",", escape(platform.name()))?;
-                    writeln!(writer, "  \"k\": {k},")?;
-                    writeln!(writer, "  \"deadline_exceeded\": {deadline},")?;
-                    writeln!(writer, "  \"chunks_scanned\": {chunks_scanned},")?;
-                    writeln!(writer, "  \"chunks_total\": {chunks_total},")?;
-                    writeln!(writer, "  \"hits\": [")?;
-                    for (i, hit) in hits.iter().enumerate() {
-                        let comma = if i + 1 < hits.len() { "," } else { "" };
-                        writeln!(
-                            writer,
-                            "    {{\"guide\":\"{}\",\"contig\":\"{}\",\"pos\":{},\"strand\":\"{}\",\"mismatches\":{}}}{comma}",
-                            escape(guides[hit.guide as usize].id()),
-                            escape(&contig_names[hit.contig as usize]),
-                            hit.pos,
-                            hit.strand,
-                            hit.mismatches
-                        )?;
-                    }
-                    writeln!(writer, "  ]")?;
-                    writeln!(writer, "}}")?;
-                }
-                other => return Err(format!("unknown format {other:?} (tsv|json)").into()),
-            }
-            writer.flush()?;
-            // The sidecars of a run cut short carry its platform and
-            // chunk progress; the engine's counters stop with the scan
-            // and are not returned.
-            let mut metrics = SearchMetrics::new(platform.name());
-            metrics.set_gauge("chunks_scanned", chunks_scanned as f64);
-            metrics.set_gauge("chunks_total", chunks_total as f64);
-            write_sidecars(&flags, &metrics)?;
-            trace_written?;
-            eprintln!(
-                "offtarget: {} after {chunks_scanned}/{chunks_total} chunks ({} hits recovered)",
-                if deadline { "deadline exceeded" } else { "cancelled" },
-                hits.len()
-            );
-            return Ok(4);
-        }
-        Err(e) => return Err(e.into()),
-    };
+    let report = search_result?;
     trace_written?;
 
     let mut writer = out_writer(&flags)?;
@@ -634,6 +572,12 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
             writeln!(writer, "  \"threads\": {threads},")?;
             writeln!(writer, "  \"genome_len\": {},", report.genome_len())?;
             writeln!(writer, "  \"guide_count\": {},", report.guide_count())?;
+            if let Some(kind) = report.cancelled() {
+                let deadline = kind == CancelKind::DeadlineExceeded;
+                writeln!(writer, "  \"deadline_exceeded\": {deadline},")?;
+                writeln!(writer, "  \"chunks_scanned\": {},", report.chunks_scanned())?;
+                writeln!(writer, "  \"chunks_total\": {},", report.chunks_total())?;
+            }
             writeln!(writer, "  \"hits\": [")?;
             for (i, hit) in report.hits().iter().enumerate() {
                 let comma = if i + 1 < report.hits().len() { "," } else { "" };
@@ -665,10 +609,21 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         if platform.is_modeled() { "modeled" } else { "measured" },
         if threads > 1 { format!(", {threads} threads") } else { String::new() },
     );
-    // The partial-results contract: everything above ran — the recovered
-    // hits and every requested sidecar are on disk — and only now does
-    // the exit code flip to 3 so pipelines know the hit set is a floor,
-    // not the full answer.
+    // The partial-results and `--timeout` contracts: everything above
+    // ran — the recovered hits and every requested sidecar are on disk —
+    // and only now does the exit code flip, to 4 for a run the deadline
+    // cut short ("out of time") or 3 for chunks that failed every retry,
+    // so pipelines know the hit set is a floor, not the full answer.
+    if let Some(kind) = report.cancelled() {
+        eprintln!(
+            "offtarget: {} after {}/{} chunks ({} hits recovered)",
+            if kind == CancelKind::DeadlineExceeded { "deadline exceeded" } else { "cancelled" },
+            report.chunks_scanned(),
+            report.chunks_total(),
+            report.hits().len()
+        );
+        return Ok(4);
+    }
     if report.is_partial() {
         eprintln!(
             "offtarget: partial result: {}/{} chunks failed after retries ({} hits recovered)",

@@ -354,3 +354,82 @@ fn an_expired_timeout_exits_4_with_a_header_only_tsv_and_sidecar() {
 
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs another `offtarget` subcommand to completion, asserting success.
+fn run_ok(args: &[&str]) {
+    let output = Command::new(env!("CARGO_BIN_EXE_offtarget")).args(args).output().expect("run");
+    assert!(output.status.success(), "{args:?}: {}", String::from_utf8_lossy(&output.stderr));
+}
+
+/// `counters.windows_scanned` of a `--metrics` sidecar.
+fn windows_scanned(path: &Path) -> f64 {
+    let text = fs::read_to_string(path).expect("metrics sidecar written");
+    let value = json::parse(&text).expect("metrics JSON parses");
+    value.get("counters").and_then(|c| c.get("windows_scanned")).and_then(Value::as_f64).unwrap()
+}
+
+#[test]
+fn a_deadline_tripped_mid_scan_writes_the_metrics_of_the_work_done() {
+    let dir = scratch("timeout-metrics");
+    let genome = dir.join("genome.fa");
+    let guides = dir.join("guides.txt");
+    let (genome_arg, guides_arg) = (genome.to_str().unwrap(), guides.to_str().unwrap());
+    // Six contigs on two threads: twelve chunks.
+    run_ok(&["synth", "--len", "120000", "--seed", "5", "--contigs", "6", "-o", genome_arg]);
+    run_ok(&[
+        "guides",
+        "--count",
+        "4",
+        "--seed",
+        "6",
+        "--from-genome",
+        genome_arg,
+        "-o",
+        guides_arg,
+    ]);
+    let clean_metrics = dir.join("clean.json");
+    let cut_metrics = dir.join("cut.json");
+    let hits = dir.join("hits.tsv");
+    let search = |extra: &[&str], metrics: &Path| {
+        let mut args = vec!["--genome", genome_arg, "--guides", guides_arg, "--threads", "2"];
+        args.extend(["--metrics", metrics.to_str().unwrap(), "-o", hits.to_str().unwrap()]);
+        args.extend(extra);
+        run_search(&args)
+    };
+    let clean = search(&[], &clean_metrics);
+    assert!(clean.status.success(), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
+
+    // Every chunk stalls 150 ms, so the 200 ms deadline trips after the
+    // first chunk of each worker and before the rest.
+    let cut = search(&["--inject", "parallel.chunk=delay150", "--timeout", "0.2"], &cut_metrics);
+    let stderr = String::from_utf8_lossy(&cut.stderr);
+    assert_eq!(cut.status.code(), Some(4), "stderr: {stderr}");
+    assert!(stderr.contains("deadline exceeded"), "stderr: {stderr}");
+    let cut_windows = windows_scanned(&cut_metrics);
+    assert!(cut_windows > 0.0, "the completed chunks are metered");
+    assert!(cut_windows <= windows_scanned(&clean_metrics));
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_zero_shard_is_a_usage_error() {
+    let dir = scratch("shard-zero");
+    let (genome, guides) = write_workload(&dir);
+    let index = dir.join("genome.idx");
+    run_ok(&["index", "--genome", genome.to_str().unwrap(), "-o", index.to_str().unwrap()]);
+    let output = run_search(&[
+        "--index",
+        index.to_str().unwrap(),
+        "--guides",
+        guides.to_str().unwrap(),
+        "--shard",
+        "0",
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("--shard 0"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    fs::remove_dir_all(&dir).ok();
+}

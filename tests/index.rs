@@ -12,13 +12,16 @@
 //! exist only on the indexed run and are excluded from gauge diffs.
 
 use crispr_offtarget::core::{OffTargetSearch, Platform};
-use crispr_offtarget::engines::{BitParallelEngine, CasOffinderCpuEngine, CasotEngine, Engine};
+use crispr_offtarget::engines::{
+    BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, Engine, EngineError,
+    ParallelEngine, PreparedSearch, ScanSource,
+};
 use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
 use crispr_offtarget::genome::{DnaSeq, Genome};
 use crispr_offtarget::guides::genset::{self, PlantPlan};
 use crispr_offtarget::guides::io as guide_io;
-use crispr_offtarget::guides::{Guide, Pam};
+use crispr_offtarget::guides::{Guide, Hit, Pam};
 use crispr_offtarget::model::SearchMetrics;
 use crispr_offtarget::serve::{engine_names, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -58,6 +61,16 @@ fn opened_index(genome: &Genome, tag: &str) -> GenomeIndex {
     GenomeIndex::open(&path).unwrap()
 }
 
+/// A metered serial scan of an opened index at k = 2.
+fn scan_index(
+    engine: &dyn Engine,
+    index: &GenomeIndex,
+    guides: &[Guide],
+    m: &mut SearchMetrics,
+) -> Result<Vec<Hit>, EngineError> {
+    engine.search_cancellable(ScanSource::Index(index), guides, 2, &CancelToken::none(), m)
+}
+
 /// Gauges with the index-provenance entries (present only on indexed
 /// runs) removed, for direct-vs-indexed comparison.
 fn non_index_gauges(m: &SearchMetrics) -> Vec<(String, f64)> {
@@ -81,8 +94,7 @@ fn indexed_scan_is_bit_identical_across_engines() {
         let mut direct_m = SearchMetrics::default();
         let mut indexed_m = SearchMetrics::default();
         let direct = engine.search_metered(&genome, &guides, 2, &mut direct_m).unwrap();
-        let indexed =
-            engine.search_metered_indexed(&index, None, &guides, 2, &mut indexed_m).unwrap();
+        let indexed = scan_index(engine.as_ref(), &index, &guides, &mut indexed_m).unwrap();
         assert!(!direct.is_empty(), "{name}: workload plants hits");
         assert_eq!(direct, indexed, "{name}: hit sets differ");
         assert_eq!(direct_m.counters, indexed_m.counters, "{name}: counters differ");
@@ -95,20 +107,25 @@ fn indexed_scan_is_bit_identical_across_engines() {
 fn shard_streaming_preserves_hits_and_window_counters() {
     let (genome, guides) = workload();
     let index = opened_index(&genome, "shards");
-    for (name, engine) in [
-        ("bitparallel", BitParallelEngine::new().boxed()),
-        ("cas-offinder", CasOffinderCpuEngine::new().boxed()),
-    ] {
+    let engines: [(&str, &(dyn Engine + Sync)); 2] = [
+        ("bitparallel", &BitParallelEngine::new()),
+        ("cas-offinder", &CasOffinderCpuEngine::new()),
+    ];
+    for (name, engine) in engines {
         let mut whole_m = SearchMetrics::default();
-        let whole = engine.search_metered_indexed(&index, None, &guides, 2, &mut whole_m).unwrap();
+        let whole = scan_index(engine, &index, &guides, &mut whole_m).unwrap();
         // Adversarial shard lengths: single-window, primes, the packed
         // word size and its neighbors, the mask word size and its
         // neighbors, larger than any contig.
         for shard in [1usize, 7, 31, 32, 33, 63, 64, 65, 997, 1 << 20] {
             let mut sharded_m = SearchMetrics::default();
-            let sharded = engine
-                .search_metered_indexed(&index, Some(shard), &guides, 2, &mut sharded_m)
-                .unwrap();
+            let sharded = scan_index(
+                &ParallelEngine::new(Shared(engine), 1).with_chunk_len(shard),
+                &index,
+                &guides,
+                &mut sharded_m,
+            )
+            .unwrap();
             assert_eq!(whole, sharded, "{name}: hits differ at shard={shard}");
             // Window starts partition exactly across shards, so every
             // per-window counter matches the whole-contig pass. The one
@@ -125,15 +142,17 @@ fn shard_streaming_preserves_hits_and_window_counters() {
     }
 }
 
-/// `Engine` is not object-safe-free here — a tiny helper to unify the
-/// concrete engine types in the shard sweep.
-trait Boxed {
-    fn boxed(self) -> Box<dyn Engine>;
-}
+/// A borrowed engine as an owned `Engine`, so the shard sweep can hand
+/// the same engine to the chunked driver at every shard length.
+struct Shared<'e>(&'e (dyn Engine + Sync));
 
-impl<E: Engine + 'static> Boxed for E {
-    fn boxed(self) -> Box<dyn Engine> {
-        Box::new(self)
+impl Engine for Shared<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
+        self.0.prepare(guides, k)
     }
 }
 
@@ -227,21 +246,46 @@ fn parallel_chunked_runs_from_index_match_direct_runs() {
 fn shard_and_whole_runs_agree_through_the_core_builder() {
     let (genome, guides) = workload();
     let index = Arc::new(opened_index(&genome, "core-shards"));
-    let whole = OffTargetSearch::from_index(Arc::clone(&index))
-        .guides(guides.clone())
+    for threads in [1usize, 3] {
+        let run = |shard: Option<usize>| {
+            OffTargetSearch::from_index(Arc::clone(&index))
+                .guides(guides.clone())
+                .max_mismatches(2)
+                .threads(threads)
+                .shard(shard)
+                .run()
+                .unwrap()
+        };
+        let whole = run(None);
+        for shard in [64usize, 1009] {
+            let sharded = run(Some(shard));
+            let at = format!("threads={threads} shard={shard}");
+            assert_eq!(whole.hits(), sharded.hits(), "{at}");
+            assert_eq!(sharded.metrics().gauge("index_shard_len"), Some(shard as f64));
+            // Shards re-step their overlaps, so bit_steps alone may grow.
+            let mut counters = sharded.metrics().counters;
+            counters.bit_steps = whole.metrics().counters.bit_steps;
+            assert_eq!(whole.metrics().counters, counters, "{at}");
+        }
+    }
+}
+
+#[test]
+fn threaded_index_runs_read_their_chunks_on_the_workers() {
+    let (genome, guides) = workload();
+    let index = Arc::new(opened_index(&genome, "worker-reads"));
+    let report = OffTargetSearch::from_index(index)
+        .guides(guides)
         .max_mismatches(2)
+        .threads(3)
         .run()
         .unwrap();
-    for shard in [64usize, 1009] {
-        let sharded = OffTargetSearch::from_index(Arc::clone(&index))
-            .guides(guides.clone())
-            .max_mismatches(2)
-            .shard(Some(shard))
-            .run()
-            .unwrap();
-        assert_eq!(whole.hits(), sharded.hits(), "shard={shard}");
-        assert_eq!(sharded.metrics().gauge("index_shard_len"), Some(shard as f64));
-    }
+    let m = report.metrics();
+    // No whole-genome copy before the fan-out: each worker reads the
+    // chunks it scans straight out of the index.
+    assert_eq!(m.phases.genome_load_s, 0.0);
+    let worker_phases = &m.parallel.as_ref().expect("parallel block").worker_phases;
+    assert!(worker_phases.genome_load_s > 0.0);
 }
 
 #[test]
@@ -255,9 +299,8 @@ fn read_fallback_agrees_with_mmap() {
     let engine = BitParallelEngine::new();
     let mut mapped_m = SearchMetrics::default();
     let mut owned_m = SearchMetrics::default();
-    let from_mapped =
-        engine.search_metered_indexed(&mapped, None, &guides, 2, &mut mapped_m).unwrap();
-    let from_owned = engine.search_metered_indexed(&owned, None, &guides, 2, &mut owned_m).unwrap();
+    let from_mapped = scan_index(&engine, &mapped, &guides, &mut mapped_m).unwrap();
+    let from_owned = scan_index(&engine, &owned, &guides, &mut owned_m).unwrap();
     assert_eq!(from_mapped, from_owned);
     assert_eq!(mapped_m.counters, owned_m.counters);
 }
