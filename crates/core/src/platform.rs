@@ -1,7 +1,14 @@
+use crispr_engines::{
+    BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine, NfaEngine,
+    ScalarEngine,
+};
+use crispr_model::names::unknown_value_message;
 use std::fmt;
 
 /// An execution target for an off-target search — the paper's evaluation
-/// matrix as an enum.
+/// matrix as an enum, and the one table that names every engine: the CLI,
+/// the daemon and [`crate::OffTargetSearch`] all resolve names and build
+/// CPU engines through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Platform {
     /// Per-window scalar scoring: the obviously-correct oracle.
@@ -14,13 +21,11 @@ pub enum Platform {
     /// Bit-parallel Hamming shift-and: the HyperScan-class automata-on-CPU
     /// data point.
     CpuBitParallel,
-    /// The bit-parallel engine behind the shared multi-seed automaton
-    /// (batched cascade, SIMD verify/prefilter kernels).
+    /// The whole guide set behind the shared multi-seed automaton
+    /// ([`crispr_engines::multiseed`]); a set it cannot batch runs the
+    /// per-guide bit-parallel anchor-and-verify of
+    /// [`Platform::CpuBitParallel`] instead.
     CpuBitParallelBatched,
-    /// Cas-OFFinder's verifier behind the shared multi-seed automaton.
-    CpuCasOffinderBatched,
-    /// CasOT's verifier behind the shared multi-seed automaton.
-    CpuCasotBatched,
     /// Direct frontier simulation of the mismatch NFAs.
     CpuNfa,
     /// Ahead-of-time subset-constructed DFA scan.
@@ -35,16 +40,22 @@ pub enum Platform {
     GpuCasOffinder,
 }
 
+/// Platform names that no longer exist, each with the platform that now
+/// runs its work. Read only on the error path, for the did-you-mean hint
+/// edit distance cannot give.
+const RETIRED: [(&str, Platform); 2] = [
+    ("cpu-cas-offinder-batched", Platform::CpuBitParallelBatched),
+    ("cpu-casot-batched", Platform::CpuBitParallelBatched),
+];
+
 impl Platform {
     /// Every platform, baselines and automata approaches alike.
-    pub const ALL: [Platform; 13] = [
+    pub const ALL: [Platform; 11] = [
         Platform::CpuScalar,
         Platform::CpuCasOffinder,
         Platform::CpuCasot,
         Platform::CpuBitParallel,
         Platform::CpuBitParallelBatched,
-        Platform::CpuCasOffinderBatched,
-        Platform::CpuCasotBatched,
         Platform::CpuNfa,
         Platform::CpuDfa,
         Platform::Ap,
@@ -72,8 +83,6 @@ impl Platform {
             Platform::CpuCasot => "cpu-casot",
             Platform::CpuBitParallel => "cpu-hyperscan",
             Platform::CpuBitParallelBatched => "cpu-hyperscan-batched",
-            Platform::CpuCasOffinderBatched => "cpu-cas-offinder-batched",
-            Platform::CpuCasotBatched => "cpu-casot-batched",
             Platform::CpuNfa => "cpu-nfa",
             Platform::CpuDfa => "cpu-dfa",
             Platform::Ap => "ap",
@@ -92,21 +101,47 @@ impl Platform {
         )
     }
 
-    /// Whether this platform runs the automata formulation (as opposed to
-    /// a direct-comparison baseline). The batched baselines keep their
-    /// serial classification: the shared seed automaton generates their
-    /// candidates, but the verifier — the thing being compared — is
-    /// still the baseline algorithm.
-    pub fn is_automata(self) -> bool {
-        !matches!(
-            self,
-            Platform::CpuScalar
-                | Platform::CpuCasOffinder
-                | Platform::CpuCasot
-                | Platform::CpuCasOffinderBatched
-                | Platform::CpuCasotBatched
-                | Platform::GpuCasOffinder
-        )
+    /// The measured CPU platforms, in [`Platform::ALL`] order: the ones
+    /// with a [`Platform::cpu_engine`], and the set the daemon serves.
+    pub fn cpu() -> Vec<Platform> {
+        Platform::ALL.into_iter().filter(|p| !p.is_modeled()).collect()
+    }
+
+    /// The engine a measured CPU platform runs, or `None` for a modeled
+    /// accelerator.
+    pub fn cpu_engine(self) -> Option<Box<dyn Engine + Send + Sync>> {
+        Some(match self {
+            Platform::CpuScalar => Box::new(ScalarEngine::new()),
+            Platform::CpuCasOffinder => Box::new(CasOffinderCpuEngine::new()),
+            Platform::CpuCasot => Box::new(CasotEngine::new()),
+            Platform::CpuBitParallel => Box::new(BitParallelEngine::new()),
+            Platform::CpuBitParallelBatched => Box::new(BitParallelEngine::batched()),
+            Platform::CpuNfa => Box::new(NfaEngine::new()),
+            Platform::CpuDfa => Box::new(DfaEngine::new()),
+            Platform::Ap | Platform::Fpga | Platform::GpuInfant2 | Platform::GpuCasOffinder => {
+                return None
+            }
+        })
+    }
+
+    /// Looks `name` up among `set`. An unknown name errs with the
+    /// standard unknown-value message for `what`: the names in `set`,
+    /// and a did-you-mean hint — the nearest name, or the successor of a
+    /// retired one.
+    ///
+    /// # Errors
+    ///
+    /// The message above, when no platform in `set` is called `name`.
+    pub fn parse_in(set: &[Platform], what: &str, name: &str) -> Result<Platform, String> {
+        if let Some(&platform) = set.iter().find(|p| p.name() == name) {
+            return Ok(platform);
+        }
+        let names: Vec<&str> = set.iter().map(|p| p.name()).collect();
+        let mut message = unknown_value_message(what, name, &names);
+        if let Some((_, successor)) = RETIRED.iter().find(|(retired, _)| *retired == name) {
+            message.push_str(&format!("; did you mean {:?}?", successor.name()));
+        }
+        Err(message)
     }
 }
 
@@ -130,12 +165,9 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Platform::Ap.is_modeled() && Platform::Ap.is_automata());
+        assert!(Platform::Ap.is_modeled());
         assert!(!Platform::CpuBitParallel.is_modeled());
-        assert!(Platform::CpuBitParallel.is_automata());
-        assert!(!Platform::CpuCasot.is_automata());
         assert!(Platform::GpuCasOffinder.is_modeled());
-        assert!(!Platform::GpuCasOffinder.is_automata());
     }
 
     #[test]
@@ -143,5 +175,25 @@ mod tests {
         for p in Platform::PAPER_MATRIX {
             assert!(Platform::ALL.contains(&p));
         }
+    }
+
+    #[test]
+    fn exactly_the_measured_platforms_build_a_cpu_engine() {
+        for p in Platform::ALL {
+            assert_eq!(p.cpu_engine().is_some(), !p.is_modeled(), "{p}");
+        }
+    }
+
+    #[test]
+    fn retired_names_hint_at_their_successor() {
+        for (retired, successor) in RETIRED {
+            assert!(!Platform::ALL.iter().any(|p| p.name() == retired), "{retired} is live");
+            let err = Platform::parse_in(&Platform::cpu(), "engine", retired).unwrap_err();
+            assert!(err.contains(&format!("did you mean {:?}?", successor.name())), "{err}");
+            assert_eq!(err.matches("did you mean").count(), 1, "{err}");
+        }
+        let err = Platform::parse_in(&Platform::cpu(), "engine", "ap").unwrap_err();
+        assert!(err.contains("unknown engine \"ap\"") && !err.contains("fpga"), "{err}");
+        assert_eq!(Platform::parse_in(&Platform::ALL, "platform", "ap"), Ok(Platform::Ap));
     }
 }

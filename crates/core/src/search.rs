@@ -1,7 +1,6 @@
 use crate::{Platform, SearchReport};
 use crispr_engines::{
-    BitParallelEngine, CancelKind, CancelToken, CasOffinderCpuEngine, CasotEngine, ChunkFailure,
-    DfaEngine, Engine, EngineError, NfaEngine, ParallelEngine, ScalarEngine, ScanSource,
+    CancelKind, CancelToken, ChunkFailure, Engine, EngineError, ParallelEngine, ScanSource,
     SearchError,
 };
 use crispr_genome::diskindex::GenomeIndex;
@@ -253,24 +252,18 @@ impl OffTargetSearch {
         })
     }
 
-    /// Runs the selected platform on a live token.
+    /// Runs the selected platform on a live token: a CPU platform's
+    /// engine through [`OffTargetSearch::run_cpu`], a modeled accelerator
+    /// on a byte-per-base copy of the genome, unpacked here once and
+    /// charged to `genome_load_s`.
     fn dispatch(&self) -> Result<Outcome, EngineError> {
-        // Modeled accelerators consume a byte-per-base genome; it is
-        // unpacked here (once) and the unpack charged below.
-        let modeled_genome = if self.platform.is_modeled() { Some(self.unpacked()?) } else { None };
-        let (hits, mut metrics, shortfall) = match self.platform {
-            Platform::CpuScalar => self.run_cpu(ScalarEngine::new())?,
-            Platform::CpuCasOffinder => self.run_cpu(CasOffinderCpuEngine::new())?,
-            Platform::CpuCasot => self.run_cpu(CasotEngine::new())?,
-            Platform::CpuBitParallel => self.run_cpu(BitParallelEngine::new())?,
-            Platform::CpuBitParallelBatched => self.run_cpu(BitParallelEngine::batched())?,
-            Platform::CpuCasOffinderBatched => self.run_cpu(CasOffinderCpuEngine::batched())?,
-            Platform::CpuCasotBatched => self.run_cpu(CasotEngine::batched())?,
-            Platform::CpuNfa => self.run_cpu(NfaEngine::new())?,
-            Platform::CpuDfa => self.run_cpu(DfaEngine::new())?,
+        if let Some(engine) = self.platform.cpu_engine() {
+            return self.run_cpu(engine.as_ref());
+        }
+        let (genome, unpack_s) = self.unpacked()?;
+        let (hits, mut metrics) = match self.platform {
             Platform::Ap => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
-                let report = crispr_ap::ApSearch::new().run(genome, &self.guides, self.k)?;
+                let report = crispr_ap::ApSearch::new().run(&genome, &self.guides, self.k)?;
                 let mut m = SearchMetrics::from_timing("ap-modeled", &report.timing);
                 m.counters.raw_hits = report.hits.len() as u64;
                 m.set_gauge("streams", report.streams as f64);
@@ -279,11 +272,10 @@ impl OffTargetSearch {
                 m.set_gauge("chips_used", report.placement.chips_used as f64);
                 m.set_gauge("stes_used", report.placement.stes_used as f64);
                 m.set_gauge("ste_utilization", report.placement.utilization);
-                (report.hits, m, None)
+                (report.hits, m)
             }
             Platform::Fpga => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
-                let report = crispr_fpga::FpgaSearch::new().run(genome, &self.guides, self.k)?;
+                let report = crispr_fpga::FpgaSearch::new().run(&genome, &self.guides, self.k)?;
                 let mut m = SearchMetrics::from_timing("fpga-modeled", &report.timing);
                 m.counters.raw_hits = report.hits.len() as u64;
                 m.set_gauge("passes", report.passes as f64);
@@ -293,31 +285,28 @@ impl OffTargetSearch {
                     m.set_gauge("clock_hz", d.clock_hz);
                     m.set_gauge("lut_utilization", d.utilization);
                 }
-                (report.hits, m, None)
+                (report.hits, m)
             }
             Platform::GpuInfant2 => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
-                let report = crispr_gpu::Infant2Search::new().run(genome, &self.guides, self.k)?;
+                let report = crispr_gpu::Infant2Search::new().run(&genome, &self.guides, self.k)?;
                 let mut m = SearchMetrics::from_timing("gpu-infant2-modeled", &report.timing);
                 m.counters.raw_hits = report.hits.len() as u64;
                 m.set_gauge("mean_active_states", report.mean_active);
                 m.set_gauge("bytes_per_symbol", report.bytes_per_symbol);
-                (report.hits, m, None)
+                (report.hits, m)
             }
             Platform::GpuCasOffinder => {
-                let (genome, _) = modeled_genome.as_ref().expect("modeled platform");
                 let report =
-                    crispr_gpu::CasOffinderGpuSearch::new().run(genome, &self.guides, self.k)?;
+                    crispr_gpu::CasOffinderGpuSearch::new().run(&genome, &self.guides, self.k)?;
                 let mut m = SearchMetrics::from_timing("gpu-cas-offinder-modeled", &report.timing);
                 m.counters.raw_hits = report.hits.len() as u64;
                 m.set_gauge("kernel_bytes", report.kernel_bytes);
-                (report.hits, m, None)
+                (report.hits, m)
             }
+            cpu => unreachable!("{cpu} runs its CPU engine"),
         };
-        if let Some((_, unpack_s)) = &modeled_genome {
-            metrics.phases.genome_load_s += unpack_s;
-        }
-        Ok((hits, metrics, shortfall))
+        metrics.phases.genome_load_s += unpack_s;
+        Ok((hits, metrics, None))
     }
 
     /// Runs a CPU engine with full metering: the engine attributes guide
@@ -339,7 +328,7 @@ impl OffTargetSearch {
     /// [`SearchError::Partial`] or the cancellation variants and fill
     /// `metrics` before returning, so those branches unwrap both and
     /// hand the shortfall up for the report.
-    fn run_cpu<E: Engine + Sync>(&self, engine: E) -> Result<Outcome, EngineError> {
+    fn run_cpu(&self, engine: &(dyn Engine + Sync)) -> Result<Outcome, EngineError> {
         let mut metrics = SearchMetrics::default();
         let source = match &self.source {
             GenomeSource::Packed(genome) => ScanSource::Packed(genome),

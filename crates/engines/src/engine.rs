@@ -175,6 +175,44 @@ pub trait Engine {
     }
 }
 
+/// A borrowed engine is the engine: every method forwards, overrides
+/// included, so a boxed or shared engine can be handed to a driver that
+/// takes one by value, such as [`crate::ParallelEngine`].
+impl<E: Engine + ?Sized> Engine for &E {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
+        (**self).prepare(guides, k)
+    }
+
+    fn search(&self, genome: &Genome, guides: &[Guide], k: usize) -> Result<Vec<Hit>, EngineError> {
+        (**self).search(genome, guides, k)
+    }
+
+    fn search_metered(
+        &self,
+        genome: &Genome,
+        guides: &[Guide],
+        k: usize,
+        metrics: &mut SearchMetrics,
+    ) -> Result<Vec<Hit>, EngineError> {
+        (**self).search_metered(genome, guides, k, metrics)
+    }
+
+    fn search_cancellable(
+        &self,
+        source: ScanSource<'_>,
+        guides: &[Guide],
+        k: usize,
+        cancel: &CancelToken,
+        metrics: &mut SearchMetrics,
+    ) -> Result<Vec<Hit>, EngineError> {
+        (**self).search_cancellable(source, guides, k, cancel, metrics)
+    }
+}
+
 /// Drives a prepared search over every contig of `genome`: scan each
 /// contig slice, re-base contig indices, count raw hits, normalize
 /// (attributed to `report_s`).

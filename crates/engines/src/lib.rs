@@ -7,11 +7,10 @@
 //! | [`ScalarEngine`] | ground truth | per-window IUPAC scoring (slowest, obviously correct) |
 //! | [`CasOffinderCpuEngine`] | Cas-OFFinder (CPU side) | PAM-first check + 2-bit packed spacer compare with early exit |
 //! | [`CasotEngine`] | CasOT | PAM-anchored scan with seed/total mismatch split |
-//! | [`BitParallelEngine`] | HyperScan (single thread) | multi-pattern bit-parallel Hamming shift-and, k+1 registers |
+//! | [`BitParallelEngine`] | HyperScan (single thread) | multi-pattern bit-parallel Hamming shift-and, k+1 registers; `batched()` screens the whole set through the [`multiseed`] cascade |
 //! | [`NfaEngine`] | direct automata execution (what iNFAnt2 runs) | frontier simulation of the compiled mismatch automata |
 //! | [`DfaEngine`] | HyperScan's DFA mode | subset-constructed DFA scan (fails loudly past its state budget) |
 //! | [`ParallelEngine`] | multi-threaded deployment | genome chunking with overlap around any inner engine |
-//! | [`PigeonholeEngine`] | index-based filtration tools | exact-seed q-gram filtration + verification |
 //! | [`IndelEngine`] / [`MyersMatcher`] | CasOT's indel mode | Myers bit-vector edit distance with PAM re-check |
 //!
 //! Every engine returns the same normalized [`crispr_guides::Hit`] set on the same
@@ -54,7 +53,6 @@ mod naive;
 mod nfa;
 mod offdfa;
 mod parallel;
-mod pigeonhole;
 mod prefilter;
 pub mod simd;
 
@@ -75,5 +73,4 @@ pub use offdfa::DfaEngine;
 pub use parallel::{
     scan_prepared, ParallelEngine, ScanDeployment, ScanSource, DEFAULT_CHUNK_RETRIES,
 };
-pub use pigeonhole::PigeonholeEngine;
 pub use simd::SimdBackend;

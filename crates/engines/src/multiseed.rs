@@ -18,8 +18,8 @@
 //!    before they report a site.
 //! 2. **Fragment lookup.** Each pattern's counted (spacer) run is split
 //!    into `k + 1` pigeonhole fragments (a window within `k` mismatches
-//!    must match at least one fragment *exactly* — the same guarantee
-//!    [`crate::PigeonholeEngine`] uses per guide). Within a group the
+//!    must match at least one fragment *exactly*, the guarantee of
+//!    exact-seed filtration tools). Within a group the
 //!    fragments are tabulated per *slot*, keyed by the fragment's
 //!    `(offset, length)` inside the window: a slot maps a fragment code to
 //!    the patterns whose fragment sits there. An anchored window is read
@@ -196,8 +196,7 @@ impl Slot {
 
 /// The compiled batched deployment for one pattern set: the anchor
 /// groups, each group's fragment slots, and one packed verifier per
-/// pattern. Built once, scans any number of slices; shared across every
-/// `batched()` engine.
+/// pattern. Built once, scans any number of slices.
 #[derive(Debug)]
 pub struct MultiSeedScan {
     /// `(scanner, member pattern indices)` per PAM-anchor signature.
@@ -473,10 +472,9 @@ impl MultiSeedScan {
     }
 }
 
-/// [`crate::PreparedSearch`] wrapper over a [`MultiSeedScan`] — what the
-/// `batched()` engines return from `prepare`, shared verbatim across all
-/// of them (batching erases the per-engine scan differences; only the
-/// compile-time fallback paths differ).
+/// [`crate::PreparedSearch`] wrapper over a [`MultiSeedScan`] — what
+/// [`crate::BitParallelEngine::batched`] returns from `prepare` when the
+/// set is batchable.
 #[derive(Debug)]
 pub(crate) struct MultiSeedPrepared {
     scan: MultiSeedScan,

@@ -15,7 +15,6 @@
 
 use crate::degrade::guarded_accel;
 use crate::engine::{patterns, validate_guides, Engine, PreparedSearch};
-use crate::multiseed::{MultiSeedPrepared, MultiSeedScan};
 use crate::prefilter::AnchoredScan;
 use crate::simd::SimdBackend;
 use crate::EngineError;
@@ -75,7 +74,6 @@ impl Precompiled {
 #[derive(Debug, Clone, Copy)]
 pub struct CasOffinderCpuEngine {
     prefilter: bool,
-    batched: bool,
     simd: Option<SimdBackend>,
 }
 
@@ -88,27 +86,18 @@ impl Default for CasOffinderCpuEngine {
 impl CasOffinderCpuEngine {
     /// Creates the engine (PAM-anchor prefilter enabled where applicable).
     pub fn new() -> CasOffinderCpuEngine {
-        CasOffinderCpuEngine { prefilter: true, batched: false, simd: None }
+        CasOffinderCpuEngine { prefilter: true, simd: None }
     }
 
     /// Creates the engine with the prefilter disabled — the per-window
     /// PAM-probe scan of the original tool. The ablation baseline.
     pub fn without_prefilter() -> CasOffinderCpuEngine {
-        CasOffinderCpuEngine { prefilter: false, batched: false, simd: None }
-    }
-
-    /// Creates the engine in batched multi-guide mode: where the guide
-    /// set admits it, `prepare` compiles the shared seed automaton of
-    /// [`crate::multiseed`] so one pass serves every guide; unbatchable
-    /// sets fall back to [`CasOffinderCpuEngine::new`] behavior.
-    pub fn batched() -> CasOffinderCpuEngine {
-        CasOffinderCpuEngine { prefilter: true, batched: true, simd: None }
+        CasOffinderCpuEngine { prefilter: false, simd: None }
     }
 
     /// Forces the SIMD backend the per-guide kernels dispatch to; the
     /// default defers to `OFFTARGET_SIMD` and runtime detection (see
-    /// [`crate::simd`]). An unavailable choice degrades to portable. The
-    /// batched kernel runs the same code on every backend.
+    /// [`crate::simd`]). An unavailable choice degrades to portable.
     pub fn with_simd(mut self, backend: SimdBackend) -> CasOffinderCpuEngine {
         self.simd = Some(backend);
         self
@@ -223,25 +212,13 @@ impl CasOffinderPrepared {
 
 impl Engine for CasOffinderCpuEngine {
     fn name(&self) -> &'static str {
-        if self.batched {
-            "cas-offinder-cpu-batched"
-        } else {
-            "cas-offinder-cpu"
-        }
+        "cas-offinder-cpu"
     }
 
     fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
         let site_len = validate_guides(guides, k)?;
         let pattern_list = patterns(guides);
         let mut degraded = 0;
-        if self.batched {
-            let scan = guarded_accel("multiseed.build", &mut degraded, || {
-                MultiSeedScan::build(&pattern_list, site_len, k)
-            });
-            if let Some(scan) = scan {
-                return Ok(Box::new(MultiSeedPrepared::new(scan)));
-            }
-        }
         let backend = crate::simd::resolve(self.simd);
         let anchored = if self.prefilter {
             guarded_accel("prefilter.build", &mut degraded, || {
@@ -278,13 +255,6 @@ mod tests {
     #[test]
     fn unfiltered_path_matches_oracle() {
         assert_engine_correct(&CasOffinderCpuEngine::without_prefilter(), 14, 2);
-    }
-
-    #[test]
-    fn batched_path_matches_oracle() {
-        assert_engine_correct(&CasOffinderCpuEngine::batched(), 16, 0);
-        assert_engine_correct(&CasOffinderCpuEngine::batched(), 17, 3);
-        assert_eq!(CasOffinderCpuEngine::batched().name(), "cas-offinder-cpu-batched");
     }
 
     #[test]

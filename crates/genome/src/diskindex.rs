@@ -69,7 +69,7 @@ pub const MAGIC: [u8; 8] = *b"CRISPRIX";
 pub const VERSION: u32 = 1;
 
 /// Default q for the dense q-gram section: 0, no section. No scan reads
-/// it (the batched engines build their seed tables from the guides), so
+/// it (the batched engine builds its seed tables from the guides), so
 /// it is written only on request.
 pub const DEFAULT_Q: usize = 0;
 
@@ -278,8 +278,16 @@ impl std::fmt::Debug for GenomeIndex {
 }
 
 impl GenomeIndex {
-    /// Serializes `genome` into a fresh in-memory index. `q` selects the
-    /// dense q-gram section (`0` omits it entirely).
+    /// [`GenomeIndex::build_packed`] on `genome`, packed once here: the
+    /// same bytes, errors and panics.
+    pub fn build(genome: &Genome, q: usize) -> Result<GenomeIndex, GenomeError> {
+        GenomeIndex::build_packed(&genome.pack(), q)
+    }
+
+    /// Serializes a packed genome into a fresh in-memory index, writing
+    /// each contig's words and bitmaps as they are. `q` selects the
+    /// dense q-gram section (`0` omits it entirely); only that section
+    /// reads bytes, so only then is each contig unpacked.
     ///
     /// # Errors
     ///
@@ -289,7 +297,7 @@ impl GenomeIndex {
     /// # Panics
     ///
     /// Panics if `q` is neither 0 nor within `1..=`[`DENSE_Q_MAX`].
-    pub fn build(genome: &Genome, q: usize) -> Result<GenomeIndex, GenomeError> {
+    pub fn build_packed(genome: &PackedGenome, q: usize) -> Result<GenomeIndex, GenomeError> {
         assert!(
             q == 0 || (1..=DENSE_Q_MAX).contains(&q),
             "q must be 0 (omit) or within 1..={DENSE_Q_MAX}"
@@ -574,7 +582,7 @@ fn pad8(out: &mut Vec<u8>) {
     }
 }
 
-fn serialize(genome: &Genome, q: usize) -> Vec<u8> {
+fn serialize(genome: &PackedGenome, q: usize) -> Vec<u8> {
     let mut meta = Vec::new();
     push_u32(&mut meta, q as u32);
     push_u32(&mut meta, genome.contig_count() as u32);
@@ -588,18 +596,16 @@ fn serialize(genome: &Genome, q: usize) -> Vec<u8> {
         meta.extend_from_slice(contig.name().as_bytes());
         pad8(&mut meta);
 
-        let packed = PackedSeq::from_seq(contig.seq());
-        for &word in packed.words() {
+        for &word in contig.seq().words() {
             push_u64(&mut packed_payload, word);
         }
-        let masks = BaseMasks::build(&packed);
         for base in Base::ALL {
-            for &word in masks.mask(base) {
+            for &word in contig.masks().mask(base) {
                 push_u64(&mut masks_payload, word);
             }
         }
         if q > 0 {
-            let table = DenseQGrams::build_from_bases(contig.seq().as_slice(), q);
+            let table = DenseQGrams::build_from_bases(contig.seq().unpack().as_slice(), q);
             for &offset in table.offsets() {
                 push_u32(&mut qgram_payload, offset);
             }

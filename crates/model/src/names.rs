@@ -1,7 +1,8 @@
-//! Name-matching helpers shared by the user-facing front ends (the CLI
-//! and the serve daemon): Levenshtein edit distance, the "did you mean"
-//! suggestion built on it, and the standard unknown-value error message
-//! that lists the valid set and appends a near-miss hint.
+//! Name-matching helpers for user-facing names (the CLI's flags, and the
+//! platform names the CLI and the serve daemon resolve through
+//! `crispr_core::Platform`): Levenshtein edit distance, the "did you
+//! mean" suggestion built on it, and the standard unknown-value error
+//! message that lists the valid set and appends a near-miss hint.
 
 /// Levenshtein edit distance; intended for short identifier-sized
 /// inputs (flag and engine names), O(|a|·|b|) with a single row.

@@ -57,4 +57,4 @@ mod obs;
 mod server;
 
 pub use obs::ObsConfig;
-pub use server::{engine_names, ServeConfig, Server};
+pub use server::{ServeConfig, Server};

@@ -4,10 +4,9 @@
 use crate::cache::{fnv1a, CacheKey, PreparedCache, PreparedEntry};
 use crate::http::{parse_request, ParseError, Request, Response};
 use crate::obs::{sanitize_client_id, Obs, ObsConfig, RequestCtx};
+use crispr_core::Platform;
 use crispr_engines::{
-    scan_prepared, BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, DfaEngine,
-    Engine, EngineError, NfaEngine, PreparedSearch, ScalarEngine, ScanDeployment, SearchError,
-    DEFAULT_CHUNK_RETRIES,
+    scan_prepared, CancelToken, ScanDeployment, SearchError, DEFAULT_CHUNK_RETRIES,
 };
 use crispr_genome::diskindex::GenomeIndex;
 use crispr_genome::PackedGenome;
@@ -21,45 +20,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The engines a query may name — the measured CPU platforms. (Modeled
-/// accelerators answer timing questions, not hit queries, and stay in
-/// the batch CLI.)
-pub fn engine_names() -> &'static [&'static str] {
-    &[
-        "cpu-scalar",
-        "cpu-cas-offinder",
-        "cpu-cas-offinder-batched",
-        "cpu-casot",
-        "cpu-casot-batched",
-        "cpu-hyperscan",
-        "cpu-hyperscan-batched",
-        "cpu-nfa",
-        "cpu-dfa",
-    ]
-}
-
-/// Compiles `guides` at budget `k` for the named engine, or `None` for
-/// an unknown name.
-#[allow(clippy::type_complexity)]
-fn prepare_for(
-    engine: &str,
-    guides: &[Guide],
-    k: usize,
-) -> Option<Result<Box<dyn PreparedSearch>, EngineError>> {
-    Some(match engine {
-        "cpu-scalar" => ScalarEngine::new().prepare(guides, k),
-        "cpu-cas-offinder" => CasOffinderCpuEngine::new().prepare(guides, k),
-        "cpu-cas-offinder-batched" => CasOffinderCpuEngine::batched().prepare(guides, k),
-        "cpu-casot" => CasotEngine::new().prepare(guides, k),
-        "cpu-casot-batched" => CasotEngine::batched().prepare(guides, k),
-        "cpu-hyperscan" => BitParallelEngine::new().prepare(guides, k),
-        "cpu-hyperscan-batched" => BitParallelEngine::batched().prepare(guides, k),
-        "cpu-nfa" => NfaEngine::new().prepare(guides, k),
-        "cpu-dfa" => DfaEngine::new().prepare(guides, k),
-        _ => return None,
-    })
-}
 
 /// Daemon configuration; [`ServeConfig::default`] binds an ephemeral
 /// loopback port with a small pool and cache.
@@ -78,7 +38,9 @@ pub struct ServeConfig {
     /// Whether `POST /search?inject=…` may arm failpoints. Off by
     /// default: fault injection is a test surface, not a public API.
     pub allow_inject: bool,
-    /// Engine used when a query names none (see [`engine_names`]).
+    /// Engine used when a query names none: one of the measured CPU
+    /// platforms ([`Platform::cpu`]). Modeled accelerators answer timing
+    /// questions, not hit queries, and stay in the batch CLI.
     pub default_engine: String,
     /// Admission-queue depth: connections accepted but not yet claimed
     /// by a worker. When the queue is full, new connections are shed
@@ -113,7 +75,7 @@ impl Default for ServeConfig {
             cache_capacity: 8,
             retry_limit: DEFAULT_CHUNK_RETRIES,
             allow_inject: false,
-            default_engine: "cpu-hyperscan".to_string(),
+            default_engine: Platform::CpuBitParallel.name().to_string(),
             queue_depth: None,
             max_deadline: Duration::from_secs(30),
             read_timeout: Duration::from_secs(30),
@@ -685,19 +647,14 @@ fn handle_search(shared: &Shared, request: &Request, ctx: &mut RequestCtx) -> Re
         Some(entry) => (entry, true),
         None => {
             let compile_start = Instant::now();
-            let prepared = match prepare_for(&engine, &guides, k) {
-                Some(Ok(prepared)) => prepared,
-                Some(Err(e)) => return Response::text(400, format!("cannot compile guides: {e}")),
-                None => {
-                    return Response::text(
-                        400,
-                        crispr_model::names::unknown_value_message(
-                            "engine",
-                            &engine,
-                            engine_names(),
-                        ),
-                    )
-                }
+            let platform = match Platform::parse_in(&Platform::cpu(), "engine", &engine) {
+                Ok(platform) => platform,
+                Err(unknown) => return Response::text(400, unknown),
+            };
+            let cpu_engine = platform.cpu_engine().expect("measured platforms build an engine");
+            let prepared = match cpu_engine.prepare(&guides, k) {
+                Ok(prepared) => prepared,
+                Err(e) => return Response::text(400, format!("cannot compile guides: {e}")),
             };
             let entry = Arc::new(PreparedEntry {
                 prepared,

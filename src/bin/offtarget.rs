@@ -13,7 +13,7 @@
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::engines::CancelKind;
 use crispr_offtarget::genome::synth::SynthSpec;
-use crispr_offtarget::genome::{fasta, Genome, PackedGenome};
+use crispr_offtarget::genome::{fasta, PackedGenome};
 use crispr_offtarget::guides::{genset, io as guide_io, Guide, Pam};
 use crispr_offtarget::model::json::escape;
 use crispr_offtarget::model::SearchMetrics;
@@ -90,8 +90,9 @@ const USAGE: &str = "usage:
   offtarget anml   --guides guides.txt [-k K] [-o out.anml]
 
 platforms: cpu-scalar cpu-cas-offinder cpu-casot cpu-hyperscan cpu-nfa cpu-dfa
-           cpu-hyperscan-batched cpu-cas-offinder-batched cpu-casot-batched
-           ap fpga gpu-infant2 gpu-cas-offinder
+           cpu-hyperscan-batched (one pass for the whole guide set; a set
+           it cannot batch runs per guide as cpu-hyperscan)
+           ap fpga gpu-infant2 gpu-cas-offinder (modeled; not served)
 SIMD: the CPU verify/prefilter kernels auto-dispatch AVX2/NEON when the
 host supports them; OFFTARGET_SIMD={auto,avx2,neon,portable,scalar}
 forces a backend (unavailable choices fall back to portable).
@@ -183,7 +184,7 @@ const BOOLEAN_FLAGS: &[&str] = &["progress", "allow-inject"];
 
 /// The "did you mean" suggestion (shared with the serve daemon's
 /// unknown-engine responses — see `crispr_model::names`).
-use crispr_offtarget::model::names::{suggest, unknown_value_message};
+use crispr_offtarget::model::names::suggest;
 
 /// Whether `token` spells one of the subcommand's own flags (so it can
 /// never be a flag *value* — see `parse_flags`).
@@ -361,13 +362,6 @@ fn load_packed(path: &str) -> Result<(PackedGenome, u64), CliError> {
     Ok((genome, u64::from(degraded)))
 }
 
-/// [`load_packed`], unpacked for the commands that read byte-per-base
-/// contigs.
-fn load_genome(path: &str) -> Result<(Genome, u64), CliError> {
-    let (genome, degraded) = load_packed(path)?;
-    Ok((genome.unpack(), degraded))
-}
-
 fn load_guides(path: &str) -> Result<Vec<Guide>, CliError> {
     Ok(guide_io::read_guides(File::open(path)?)?)
 }
@@ -401,8 +395,8 @@ fn cmd_guides(args: &[String]) -> Result<(), CliError> {
     let pam = parse_pam(flags.get("pam").map(String::as_str).unwrap_or("NGG"))?;
     let guides = match flags.get("from-genome") {
         Some(path) => {
-            let (genome, _) = load_genome(path)?;
-            genset::guides_from_genome(&genome, count, 20, &pam, seed)
+            let (genome, _) = load_packed(path)?;
+            genset::guides_from_genome(&genome.unpack(), count, 20, &pam, seed)
         }
         None => genset::random_guides(count, 20, &pam, seed),
     };
@@ -414,13 +408,13 @@ fn cmd_guides(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `offtarget index`: derives every per-genome table the engines need
-/// (packed bases, anchor bitmaps) once, and writes them as one
-/// checksummed file that later `search --index` runs memory-map.
+/// `offtarget index`: writes the packed bases and anchor bitmaps the
+/// FASTA parser builds as one checksummed file that later
+/// `search --index` runs memory-map.
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
     use crispr_offtarget::genome::diskindex::{GenomeIndex, DEFAULT_Q};
     let flags = parse_flags(args, INDEX_FLAGS)?;
-    let (genome, degraded) = load_genome(get(&flags, "genome")?)?;
+    let (genome, degraded) = load_packed(get(&flags, "genome")?)?;
     if degraded > 0 {
         eprintln!("warning: lossy FASTA parse ({degraded} degradation events)");
     }
@@ -433,7 +427,7 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
         .into());
     }
     let build_start = Instant::now();
-    let index = GenomeIndex::build(&genome, q)?;
+    let index = GenomeIndex::build_packed(&genome, q)?;
     let path = get(&flags, "out")?;
     index.write_to(path)?;
     eprintln!(
@@ -448,10 +442,7 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
 }
 
 fn parse_platform(name: &str) -> Result<Platform, CliError> {
-    Platform::ALL.into_iter().find(|p| p.name() == name).ok_or_else(|| {
-        let valid: Vec<&str> = Platform::ALL.iter().map(|p| p.name()).collect();
-        unknown_value_message("platform", name, &valid).into()
-    })
+    Ok(Platform::parse_in(&Platform::ALL, "platform", name)?)
 }
 
 fn cmd_search(args: &[String]) -> Result<u8, CliError> {
@@ -461,8 +452,10 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
     }
     let guides = load_guides(get(&flags, "guides")?)?;
     let k = parse(&flags, "k", 3usize)?;
-    let platform =
-        parse_platform(flags.get("platform").map(String::as_str).unwrap_or("cpu-hyperscan"))?;
+    let platform = match flags.get("platform") {
+        Some(name) => parse_platform(name)?,
+        None => Platform::CpuBitParallel,
+    };
     let threads = parse(&flags, "threads", 1usize)?;
     let retries = parse(&flags, "retries", crispr_offtarget::engines::DEFAULT_CHUNK_RETRIES)?;
     let format = flags.get("format").map(String::as_str).unwrap_or("tsv");
@@ -661,7 +654,7 @@ fn write_sidecars(
 /// `offtarget serve`: loads the genome once, then blocks inside the
 /// daemon until a `POST /shutdown` drains it.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    use crispr_offtarget::serve::{engine_names, ServeConfig, Server};
+    use crispr_offtarget::serve::{ServeConfig, Server};
     let flags = parse_flags(args, SERVE_FLAGS)?;
     if flags.contains_key("genome") && flags.contains_key("index") {
         return Err("--genome and --index are mutually exclusive".into());
@@ -709,11 +702,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     cfg.obs.slow_trace_max = parse(&flags, "slow-trace-max", cfg.obs.slow_trace_max)?;
     if let Some(engine) = flags.get("platform") {
-        if !engine_names().contains(&engine.as_str()) {
-            // Serve answers hit queries with the measured CPU engines
-            // only; the modeled accelerators stay in the batch CLI.
-            return Err(unknown_value_message("serve engine", engine, engine_names()).into());
-        }
+        // Serve answers hit queries with the measured CPU engines only;
+        // the modeled accelerators stay in the batch CLI.
+        Platform::parse_in(&Platform::cpu(), "serve engine", engine)?;
         cfg.default_engine = engine.clone();
     }
     let server = match flags.get("index") {
@@ -830,16 +821,11 @@ mod tests {
         let err = parse_platform("tpu").unwrap_err().to_string();
         assert!(err.contains("one of:"), "{err}");
         assert!(!err.contains("did you mean"), "{err}");
-        // The batched names parse to the batched platforms.
+        // The batched name parses to the batched platform.
         assert_eq!(
             parse_platform("cpu-hyperscan-batched").unwrap(),
             Platform::CpuBitParallelBatched
         );
-        assert_eq!(
-            parse_platform("cpu-cas-offinder-batched").unwrap(),
-            Platform::CpuCasOffinderBatched
-        );
-        assert_eq!(parse_platform("cpu-casot-batched").unwrap(), Platform::CpuCasotBatched);
     }
 
     #[test]

@@ -97,6 +97,39 @@ fn unknown_flags_get_a_did_you_mean_hint() {
 }
 
 #[test]
+fn retired_batched_platforms_fail_with_a_hint() {
+    let dir = scratch("retired");
+    let (genome, guides) = write_workload(&dir);
+    let (genome, guides) = (genome.to_str().unwrap(), guides.to_str().unwrap());
+    // The daemon's engine is checked before its genome is read, so a
+    // missing genome file means nothing binds a port either way.
+    let missing = dir.join("missing.fa");
+    let search =
+        ["search", "--genome", genome, "--guides", guides, "--platform", "cpu-casot-batched"];
+    let serve = [
+        "serve",
+        "--genome",
+        missing.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+        "--platform",
+        "cpu-cas-offinder-batched",
+    ];
+    for args in [&search[..], &serve[..]] {
+        let retired = args.last().unwrap();
+        let output = Command::new(env!("CARGO_BIN_EXE_offtarget"))
+            .args(args)
+            .output()
+            .expect("run offtarget");
+        assert!(!output.status.success(), "{retired} was accepted");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(&format!("\"{retired}\" (one of: cpu-scalar")), "{stderr}");
+        assert!(stderr.contains("did you mean \"cpu-hyperscan-batched\"?"), "{stderr}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn injected_capped_faults_heal_to_the_clean_hit_set() {
     let dir = scratch("inject-heal");
     let (genome, guides) = write_workload(&dir);

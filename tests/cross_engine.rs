@@ -72,16 +72,13 @@ fn repeat_rich_genomes_do_not_break_agreement() {
 
 #[test]
 fn extension_engines_agree_with_reference() {
-    use crispr_offtarget::engines::{Engine, PigeonholeEngine, ScalarEngine};
+    use crispr_offtarget::engines::{Engine, ScalarEngine};
     use crispr_offtarget::guides::stride::StridedScan;
     use crispr_offtarget::guides::CompileOptions;
     let genome = SynthSpec::new(30_000).seed(151).generate();
     let guides = genset::random_guides(3, 20, &Pam::ngg(), 152);
     let (genome, _) = genset::plant_offtargets(genome, &guides, &PlantPlan::uniform(3, 2), 153);
     let truth = ScalarEngine::new().search(&genome, &guides, 3).unwrap();
-    // Pigeonhole filtration.
-    let ph = PigeonholeEngine::new().search(&genome, &guides, 3).unwrap();
-    assert_eq!(ph, truth);
     // 2-strided automata (§7 improvement) with host verification.
     let strided = StridedScan::compile(&guides, &CompileOptions::new(3)).unwrap();
     assert_eq!(strided.search(&genome), truth);
@@ -102,7 +99,7 @@ fn extension_engines_agree_with_reference() {
 mod differential {
     use crispr_offtarget::engines::{
         BitParallelEngine, CasOffinderCpuEngine, CasotEngine, DfaEngine, Engine, NfaEngine,
-        ParallelEngine, PigeonholeEngine, ScalarEngine, SimdBackend,
+        ParallelEngine, ScalarEngine, SimdBackend,
     };
     use crispr_offtarget::genome::{Base, DnaSeq, Genome};
     use crispr_offtarget::guides::genset::{self, PlantPlan};
@@ -193,17 +190,14 @@ mod differential {
             ("bitparallel-batched", Box::new(BitParallelEngine::batched())),
             ("cas-offinder", Box::new(CasOffinderCpuEngine::new())),
             ("cas-offinder-nofilter", Box::new(CasOffinderCpuEngine::without_prefilter())),
-            ("cas-offinder-batched", Box::new(CasOffinderCpuEngine::batched())),
             ("casot", Box::new(CasotEngine::new())),
             ("casot-nofilter", Box::new(CasotEngine::new().without_prefilter())),
-            ("casot-batched", Box::new(CasotEngine::batched())),
             ("nfa", Box::new(NfaEngine::new())),
-            ("pigeonhole", Box::new(PigeonholeEngine::new())),
             ("parallel-batched", Box::new(ParallelEngine::new(BitParallelEngine::batched(), 4))),
             (
                 "parallel-batched-chunk-minus-1",
                 Box::new(
-                    ParallelEngine::new(CasOffinderCpuEngine::batched(), 3)
+                    ParallelEngine::new(BitParallelEngine::batched(), 3)
                         .with_chunk_len(site_len - 1),
                 ),
             ),

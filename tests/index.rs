@@ -14,7 +14,7 @@
 use crispr_offtarget::core::{OffTargetSearch, Platform};
 use crispr_offtarget::engines::{
     BitParallelEngine, CancelToken, CasOffinderCpuEngine, CasotEngine, Engine, EngineError,
-    ParallelEngine, PreparedSearch, ScanSource,
+    ParallelEngine, ScanSource,
 };
 use crispr_offtarget::genome::diskindex::GenomeIndex;
 use crispr_offtarget::genome::synth::SynthSpec;
@@ -23,7 +23,7 @@ use crispr_offtarget::guides::genset::{self, PlantPlan};
 use crispr_offtarget::guides::io as guide_io;
 use crispr_offtarget::guides::{Guide, Hit, Pam};
 use crispr_offtarget::model::SearchMetrics;
-use crispr_offtarget::serve::{engine_names, ServeConfig, Server};
+use crispr_offtarget::serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -86,9 +86,7 @@ fn indexed_scan_is_bit_identical_across_engines() {
         ("bitparallel-batched", Box::new(BitParallelEngine::batched())),
         ("cas-offinder", Box::new(CasOffinderCpuEngine::new())),
         ("cas-offinder-unfiltered", Box::new(CasOffinderCpuEngine::without_prefilter())),
-        ("cas-offinder-batched", Box::new(CasOffinderCpuEngine::batched())),
         ("casot", Box::new(CasotEngine::new())),
-        ("casot-batched", Box::new(CasotEngine::batched())),
     ];
     for (name, engine) in engines {
         let mut direct_m = SearchMetrics::default();
@@ -120,7 +118,7 @@ fn shard_streaming_preserves_hits_and_window_counters() {
         for shard in [1usize, 7, 31, 32, 33, 63, 64, 65, 997, 1 << 20] {
             let mut sharded_m = SearchMetrics::default();
             let sharded = scan_index(
-                &ParallelEngine::new(Shared(engine), 1).with_chunk_len(shard),
+                &ParallelEngine::new(engine, 1).with_chunk_len(shard),
                 &index,
                 &guides,
                 &mut sharded_m,
@@ -139,20 +137,6 @@ fn shard_streaming_preserves_hits_and_window_counters() {
             normalized.bit_steps = whole_m.counters.bit_steps;
             assert_eq!(whole_m.counters, normalized, "{name}: counters differ at shard={shard}");
         }
-    }
-}
-
-/// A borrowed engine as an owned `Engine`, so the shard sweep can hand
-/// the same engine to the chunked driver at every shard length.
-struct Shared<'e>(&'e (dyn Engine + Sync));
-
-impl Engine for Shared<'_> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn prepare(&self, guides: &[Guide], k: usize) -> Result<Box<dyn PreparedSearch>, EngineError> {
-        self.0.prepare(guides, k)
     }
 }
 
@@ -427,7 +411,7 @@ fn index_booted_daemon_answers_like_a_fasta_booted_one() {
         let cfg = ServeConfig { scan_threads, ..ServeConfig::default() };
         let from_fasta = Server::start(genome.clone(), cfg.clone()).unwrap();
         let from_index = Server::start_indexed(&index, 0.0, cfg).unwrap();
-        for engine in engine_names() {
+        for engine in Platform::cpu() {
             let target = format!("/search?k=2&engine={engine}");
             let (fasta_status, fasta_tsv) = post(from_fasta.local_addr(), &target, &body);
             let (index_status, index_tsv) = post(from_index.local_addr(), &target, &body);

@@ -167,13 +167,9 @@ proptest! {
         prop_assert_eq!(&bf0, &truth);
         let co0 = CasotEngine::new().without_prefilter().search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&co0, &truth);
-        // As does each batched (shared seed automaton) twin.
+        // As does the batched (shared seed automaton) engine.
         let bpb = BitParallelEngine::batched().search(&genome, &guides, k).unwrap();
         prop_assert_eq!(&bpb, &truth);
-        let bfb = CasOffinderCpuEngine::batched().search(&genome, &guides, k).unwrap();
-        prop_assert_eq!(&bfb, &truth);
-        let cob = CasotEngine::batched().search(&genome, &guides, k).unwrap();
-        prop_assert_eq!(&cob, &truth);
     }
 
     /// A search prepared once scans any number of genomes: reusing one
@@ -197,7 +193,6 @@ proptest! {
             &BitParallelEngine::new() as &dyn Engine,
             &BitParallelEngine::batched(),
             &CasOffinderCpuEngine::new(),
-            &CasOffinderCpuEngine::batched(),
             &CasotEngine::new(),
             &ScalarEngine::new(),
         ] {

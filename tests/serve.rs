@@ -243,11 +243,24 @@ fn malformed_requests_get_4xx_not_a_crash() {
     let resp = String::from_utf8_lossy(&resp);
     assert!(resp.contains("one of:"), "unknown engine should list the valid set: {resp}");
     assert!(resp.contains("cpu-hyperscan-batched"), "batched variants should be listed: {resp}");
-    // A near-miss of a batched variant gets a did-you-mean hint.
-    let (status, _, resp) = request(addr, "POST", "/search?engine=cpu-casot-batch", &body);
+    // A near-miss of the batched engine gets a did-you-mean hint.
+    let (status, _, resp) = request(addr, "POST", "/search?engine=cpu-hyperscan-batch", &body);
     assert_eq!(status, 400);
     let resp = String::from_utf8_lossy(&resp);
-    assert!(resp.contains("did you mean \"cpu-casot-batched\"?"), "{resp}");
+    assert!(resp.contains("did you mean \"cpu-hyperscan-batched\"?"), "{resp}");
+    // A retired batched name is refused, with the batched engine as its hint.
+    for retired in ["cpu-casot-batched", "cpu-cas-offinder-batched"] {
+        let (status, _, resp) = request(addr, "POST", &format!("/search?engine={retired}"), &body);
+        assert_eq!(status, 400, "{retired}");
+        let resp = String::from_utf8_lossy(&resp);
+        assert!(resp.contains(&format!("unknown engine \"{retired}\"")), "{resp}");
+        assert!(resp.contains("did you mean \"cpu-hyperscan-batched\"?"), "{resp}");
+    }
+    // A modeled platform answers timing questions, not hit queries.
+    let (status, _, resp) = request(addr, "POST", "/search?engine=ap", &body);
+    assert_eq!(status, 400);
+    let resp = String::from_utf8_lossy(&resp);
+    assert!(resp.contains("unknown engine \"ap\"") && resp.contains("one of:"), "{resp}");
     // The batched engines themselves are servable.
     let (status, _, _) = request(addr, "POST", "/search?engine=cpu-hyperscan-batched&k=2", &body);
     assert_eq!(status, 200);
