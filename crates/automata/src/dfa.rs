@@ -72,22 +72,24 @@ impl Dfa {
     /// `0..alphabet`.
     pub fn scan(&self, input: &[u8]) -> Result<Vec<DfaReport>, AutomataError> {
         let mut reports = Vec::new();
-        self.scan_into(input, &mut reports)?;
+        self.scan_into(input.iter().copied(), &mut reports)?;
         Ok(reports)
     }
 
-    /// Scans `input`, appending reports to `reports`. See [`Dfa::scan`].
+    /// Scans a stream of symbols, appending reports to `reports` — the
+    /// form that reads a genome's 2-bit codes in place, with no symbol
+    /// buffer. See [`Dfa::scan`].
     ///
     /// # Errors
     ///
     /// [`AutomataError::SymbolOutOfAlphabet`] as for [`Dfa::scan`].
     pub fn scan_into(
         &self,
-        input: &[u8],
+        input: impl IntoIterator<Item = u8>,
         reports: &mut Vec<DfaReport>,
     ) -> Result<(), AutomataError> {
         let mut state = self.start;
-        for (i, &symbol) in input.iter().enumerate() {
+        for (i, symbol) in input.into_iter().enumerate() {
             if symbol as usize >= self.alphabet {
                 return Err(AutomataError::SymbolOutOfAlphabet { symbol, alphabet: self.alphabet });
             }

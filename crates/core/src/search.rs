@@ -60,13 +60,13 @@ impl OffTargetSearch {
         OffTargetSearch::from_source(GenomeSource::Packed(genome))
     }
 
-    /// Starts a search over an opened on-disk index. CPU platforms read
-    /// each contig or chunk's packed words and bitmaps straight out of
-    /// the index (optionally in bounded-memory shards, see
-    /// [`OffTargetSearch::shard`]), and the modeled accelerators unpack
-    /// the genome once — either cost charged to `genome_load_s`. Hit
-    /// sets are identical to [`OffTargetSearch::new`] on the genome the
-    /// index was built from.
+    /// Starts a search over an opened on-disk index. CPU platforms scan
+    /// each contig or chunk as a view of the index's packed words and
+    /// bitmaps, in place (optionally in shards, see
+    /// [`OffTargetSearch::shard`]), so they charge nothing to
+    /// `genome_load_s`; the modeled accelerators unpack the genome once,
+    /// charged to `genome_load_s`. Hit sets are identical to
+    /// [`OffTargetSearch::new`] on the genome the index was built from.
     pub fn from_index(index: Arc<GenomeIndex>) -> OffTargetSearch {
         OffTargetSearch::from_source(GenomeSource::Index(index))
     }
@@ -89,9 +89,9 @@ impl OffTargetSearch {
 
     /// Scans CPU platforms in chunks of `len` window starts (plus the
     /// `site_len − 1` overlap) through the chunked driver, at the run's
-    /// thread count. From an index this bounds resident memory by the
-    /// chunks in flight instead of one contig. Hits and counters are
-    /// unchanged, except `bit_steps`, which re-steps the overlaps.
+    /// thread count. Every chunk is a view of its contig, so sharding
+    /// copies nothing. Hits and counters are unchanged, except
+    /// `bit_steps`, which re-steps the overlaps.
     /// Ignored by the modeled platforms.
     ///
     /// # Panics
@@ -317,11 +317,10 @@ impl OffTargetSearch {
     /// A serial run without a shard length takes the engine's own serial
     /// driver; threaded or sharded runs go through `ParallelEngine`, whose
     /// chunk length is the shard. Both go through the engine's
-    /// prepare/scan split (`Engine::prepare` once,
-    /// `PreparedSearch::scan_packed` per contig or chunk — see
-    /// DESIGN.md §7.1), so `guide_compile_s` is paid once regardless of
-    /// `threads`, and either driver reads the packed genome or the index
-    /// in place.
+    /// prepare/scan split (`Engine::prepare` once, `PreparedSearch::scan`
+    /// per contig or chunk view — see DESIGN.md §7.1), so
+    /// `guide_compile_s` is paid once regardless of `threads`, and either
+    /// driver reads the packed genome or the index in place.
     ///
     /// A run that stopped short is *not* an error at this level: the
     /// drivers deliver the recovered hits inside

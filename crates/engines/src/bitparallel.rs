@@ -34,7 +34,7 @@ use crate::multiseed::{MultiSeedPrepared, MultiSeedScan};
 use crate::prefilter::AnchoredScan;
 use crate::simd::SimdBackend;
 use crate::EngineError;
-use crispr_genome::Base;
+use crispr_genome::{Base, PackedView};
 use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -173,7 +173,7 @@ impl BitParallelEngine {
         BitParallelEngine { prefilter: true, batched: false, simd: None }
     }
 
-    /// Creates the engine with the prefilter disabled — every slice runs
+    /// Creates the engine with the prefilter disabled — every view runs
     /// through the register machine. The ablation baseline.
     pub fn without_prefilter() -> BitParallelEngine {
         BitParallelEngine { prefilter: false, batched: false, simd: None }
@@ -216,28 +216,27 @@ impl PreparedSearch for BitParallelPrepared {
         self.site_len
     }
 
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
         let _kernel = crispr_trace::span("kernel:bitparallel");
-        // Both paths are linear bitwise passes over the slice; meter them
+        // Both paths are linear bitwise passes over the view; meter them
         // under the same symbol count.
-        m.counters.bit_steps += seq.len() as u64;
+        m.counters.bit_steps += view.len() as u64;
         if let Some(anchored) = &self.anchored {
-            anchored.scan_slice(seq, self.k, out, m);
+            anchored.scan(view, self.k, out, m);
             return Ok(());
         }
 
         let scan_start = Instant::now();
-        m.counters.windows_scanned += (seq.len() + 1).saturating_sub(self.site_len) as u64;
+        m.counters.windows_scanned += (view.len() + 1).saturating_sub(self.site_len) as u64;
         let mut regs = self.bank.scratch();
         let mut shifted = vec![0u64; self.bank.patterns];
-        for (end, &base) in seq.iter().enumerate() {
-            let code = base.code() as usize;
-            if self.bank.step(&mut regs, code, &mut shifted) != 0 {
+        for (end, code) in view.codes().enumerate() {
+            if self.bank.step(&mut regs, code as usize, &mut shifted) != 0 {
                 let pos = (end + 1 - self.site_len) as u64;
                 self.bank.collect_hits(&regs, |p, mm| {
                     out.push(Hit {
@@ -252,25 +251,6 @@ impl PreparedSearch for BitParallelPrepared {
         }
         m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
         Ok(())
-    }
-
-    fn scan_packed(
-        &self,
-        packed: &crispr_genome::PackedSeq,
-        masks: &crispr_genome::pamindex::BaseMasks,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) -> Result<(), EngineError> {
-        // Anchorable sets consume the index form directly (stored anchor
-        // bitmaps, no repacking); the register-stepping fallback needs
-        // byte-per-base symbols and takes the unpack path.
-        if let Some(anchored) = &self.anchored {
-            let _kernel = crispr_trace::span("kernel:bitparallel");
-            m.counters.bit_steps += packed.len() as u64;
-            anchored.scan_packed(packed, masks, self.k, out, m);
-            return Ok(());
-        }
-        crate::engine::scan_unpacked(self, packed, out, m)
     }
 
     fn record_gauges(&self, m: &mut SearchMetrics) {

@@ -23,11 +23,10 @@
 
 use crate::degrade::guarded_accel;
 use crate::engine::AnchorGroup;
-use crate::engine::{patterns, validate_guides, Engine, PreparedSearch};
+use crate::engine::{patterns, validate_guides, Engine, PreparedSearch, Site};
 use crate::prefilter::anchor_plan;
-use crate::simd::SimdBackend;
 use crate::EngineError;
-use crispr_genome::{Base, IupacCode, PackedSeq};
+use crispr_genome::{Base, IupacCode, PackedView};
 use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -38,14 +37,13 @@ pub struct CasotEngine {
     seed_len: usize,
     seed_mismatch_limit: Option<usize>,
     prefilter: bool,
-    simd: Option<SimdBackend>,
 }
 
 impl Default for CasotEngine {
     fn default() -> CasotEngine {
         // CasOT's default: 12-base PAM-proximal seed, no extra seed limit
         // (so results equal the other engines'; a limit tightens them).
-        CasotEngine { seed_len: 12, seed_mismatch_limit: None, prefilter: true, simd: None }
+        CasotEngine { seed_len: 12, seed_mismatch_limit: None, prefilter: true }
     }
 }
 
@@ -74,14 +72,6 @@ impl CasotEngine {
     /// by window as in the original tool. The ablation baseline.
     pub fn without_prefilter(mut self) -> CasotEngine {
         self.prefilter = false;
-        self
-    }
-
-    /// Forces the SIMD backend the per-guide kernels dispatch to; the
-    /// default defers to `OFFTARGET_SIMD` and runtime detection (see
-    /// [`crate::simd`]). An unavailable choice degrades to portable.
-    pub fn with_simd(mut self, backend: SimdBackend) -> CasotEngine {
-        self.simd = Some(backend);
         self
     }
 }
@@ -125,6 +115,13 @@ impl Anchored {
             strand: pattern.strand(),
         }
     }
+
+    /// Whether the PAM positions of `site` match, probed one by one as
+    /// the original tool does when no anchor pass runs.
+    #[inline]
+    fn pam_matches(&self, site: &Site<'_, '_>) -> bool {
+        self.pam.iter().all(|&(offset, class)| class.matches(site.base(offset)))
+    }
 }
 
 /// Compiled form: per-pattern seed/distal comparers plus, when the set is
@@ -139,10 +136,6 @@ struct CasotPrepared {
     site_len: usize,
     k: usize,
     seed_limit: usize,
-    /// The kernel backend resolved at prepare time — selects the blocked
-    /// anchor intersection (the per-base seed compare itself is bespoke
-    /// and stays scalar).
-    backend: SimdBackend,
     /// Accelerator builds that failed during `prepare` and were replaced
     /// by a fallback path; surfaced as `degraded_paths`.
     degraded: u64,
@@ -150,32 +143,24 @@ struct CasotPrepared {
 
 impl CasotPrepared {
     /// Seed-then-distal compare of pattern `a` against the window at
-    /// `start`, counting into `m` exactly like the original per-window
-    /// loop. `pam_verified` states the PAM already matched (anchor pass);
-    /// otherwise the PAM positions are probed here first.
+    /// `start`, whose PAM already matched (by the anchor pass or
+    /// [`Anchored::pam_matches`]), counting into `m` exactly like the
+    /// original per-window loop.
     #[inline]
     fn verify(
         &self,
         a: &Anchored,
-        seq: &[Base],
+        site: &Site<'_, '_>,
         start: usize,
-        pam_verified: bool,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) {
-        if !pam_verified {
-            for &(offset, class) in &a.pam {
-                if !class.matches(seq[start + offset]) {
-                    return;
-                }
-            }
-        }
         m.counters.pam_anchors_tested += 1;
         // Seed first under the seed limit, then the rest under the total
         // budget.
         let mut mismatches = 0usize;
         for &(offset, base) in &a.spacer[..a.seed_len] {
-            if seq[start + offset] != base {
+            if site.base(offset) != base {
                 mismatches += 1;
                 if mismatches > self.k || mismatches > self.seed_limit {
                     m.counters.early_exits += 1;
@@ -185,7 +170,7 @@ impl CasotPrepared {
         }
         m.counters.seed_survivors += 1;
         for &(offset, base) in &a.spacer[a.seed_len..] {
-            if seq[start + offset] != base {
+            if site.base(offset) != base {
                 mismatches += 1;
                 if mismatches > self.k {
                     m.counters.early_exits += 1;
@@ -208,44 +193,34 @@ impl PreparedSearch for CasotPrepared {
         self.site_len
     }
 
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
-        if seq.len() < self.site_len {
+        if view.len() < self.site_len {
             return Ok(());
         }
         let _kernel = crispr_trace::span("kernel:casot");
+        let scan_start = Instant::now();
         if let Some((groups, _)) = &self.plan {
-            let load_start = Instant::now();
-            let packed = PackedSeq::from_bases(seq);
-            m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-
-            let scan_start = Instant::now();
-            m.counters.windows_scanned += (seq.len() + 1 - self.site_len) as u64;
+            m.counters.windows_scanned += (view.len() + 1 - self.site_len) as u64;
             for (scanner, members) in groups {
-                let mask = if self.backend == SimdBackend::Scalar {
-                    scanner.candidates(&packed, self.site_len)
-                } else {
-                    scanner.candidates_blocked(&packed, self.site_len)
-                };
-                for start in &mask {
+                for start in &scanner.candidates(view, self.site_len) {
+                    let site = Site::read(view, start, self.site_len);
                     for &pi in members {
-                        self.verify(&self.anchored[pi], seq, start, true, out, m);
+                        self.verify(&self.anchored[pi], &site, start, out, m);
                     }
                 }
             }
-            m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
-            return Ok(());
-        }
-
-        let scan_start = Instant::now();
-        for start in 0..=seq.len() - self.site_len {
-            m.counters.windows_scanned += 1;
-            for a in &self.anchored {
-                self.verify(a, seq, start, false, out, m);
+        } else {
+            for start in 0..=view.len() - self.site_len {
+                m.counters.windows_scanned += 1;
+                let site = Site::read(view, start, self.site_len);
+                for a in self.anchored.iter().filter(|a| a.pam_matches(&site)) {
+                    self.verify(a, &site, start, out, m);
+                }
             }
         }
         m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
@@ -256,7 +231,6 @@ impl PreparedSearch for CasotPrepared {
         m.counters.degraded_paths += self.degraded;
         if let Some((_, rate)) = &self.plan {
             m.set_gauge("anchor_rate", *rate);
-            m.set_gauge("simd_backend", self.backend.gauge());
         }
     }
 }
@@ -270,7 +244,6 @@ impl Engine for CasotEngine {
         let site_len = validate_guides(guides, k)?;
         let pattern_list = patterns(guides);
         let mut degraded = 0;
-        let backend = crate::simd::resolve(self.simd);
         let plan = if self.prefilter {
             guarded_accel("prefilter.build", &mut degraded, || anchor_plan(&pattern_list, site_len))
         } else {
@@ -284,7 +257,6 @@ impl Engine for CasotEngine {
             site_len,
             k,
             seed_limit: self.seed_mismatch_limit.unwrap_or(k),
-            backend,
             degraded,
         }))
     }

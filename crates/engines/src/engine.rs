@@ -1,84 +1,48 @@
 use crate::{CancelToken, EngineError, ScanSource, SearchError};
-use crispr_genome::pamindex::{AnchorScanner, BaseMasks};
-use crispr_genome::{Base, Genome, IupacCode, PackedSeq, Strand};
+use crispr_genome::pamindex::AnchorScanner;
+use crispr_genome::{Base, Genome, IupacCode, PackedView, Strand};
 use crispr_guides::{normalize, Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use crispr_trace as trace;
 use std::time::Instant;
 
 /// The compiled, reusable half of a search: guides × budget lowered to an
-/// engine's internal tables, ready to scan any number of genome slices
+/// engine's internal tables, ready to scan any number of genome ranges
 /// without recompiling.
 ///
-/// [`PreparedSearch::scan_slice`] appends *raw* hits: `contig` is left 0
-/// and `pos` is slice-relative; the caller re-bases and normalizes
+/// [`PreparedSearch::scan`] appends *raw* hits: `contig` is left 0 and
+/// `pos` is view-relative; the caller re-bases and normalizes
 /// ([`scan_genome`] does both, the parallel deployment shifts by chunk
-/// offset first). Implementations attribute their own per-slice phases —
-/// packing/indexing to `genome_load_s`, scanning to `kernel_scan_s` — and
-/// counters; they never touch `guide_compile_s`, which belongs to
-/// [`Engine::prepare`] alone. That invariant is what makes compile cost
-/// independent of how many slices (chunks, genomes) are scanned.
+/// offset first). Implementations attribute their scan to
+/// `kernel_scan_s` and their own counters; they never touch
+/// `guide_compile_s`, which belongs to [`Engine::prepare`] alone. That
+/// invariant is what makes compile cost independent of how many ranges
+/// (chunks, genomes) are scanned.
 pub trait PreparedSearch: Send + Sync {
     /// Uniform site length of the compiled guide set.
     fn site_len(&self) -> usize;
 
-    /// Scans one contiguous forward-strand slice, appending raw hits.
+    /// Scans one forward-strand range of a packed contig — borrowed
+    /// words and base bitmaps, resident or read in place from an index —
+    /// appending raw hits. Anchored kernels intersect the view's
+    /// bitmaps; symbol-reading kernels consume its 2-bit codes. Nothing
+    /// is copied or unpacked, so nothing is charged to `genome_load_s`.
     ///
     /// # Errors
     ///
     /// Scan-phase failures only (e.g. a DFA transition-table fault);
     /// guide-set problems are rejected by [`Engine::prepare`].
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError>;
 
-    /// Scans one slice delivered in index form — already 2-bit packed,
-    /// with its per-base anchor bitmaps alongside — appending raw hits
-    /// exactly like [`PreparedSearch::scan_slice`] on the same content.
-    ///
-    /// The default unpacks to bases (charged to `genome_load_s`) and
-    /// delegates to `scan_slice`, so every engine accepts indexed input
-    /// with identical hits, counters, and gauges by construction.
-    /// Engines whose kernels consume the packed form directly override
-    /// this to skip the unpack/repack round trip (the anchored prefilter
-    /// deployment and the batched seed automaton).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PreparedSearch::scan_slice`].
-    fn scan_packed(
-        &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) -> Result<(), EngineError> {
-        let _ = masks;
-        scan_unpacked(self, packed, out, m)
-    }
-
     /// Records compile-time gauges (automaton state counts, seed counts,
     /// anchor rates) into `m`. Called once per metered search, not per
-    /// slice.
+    /// range.
     fn record_gauges(&self, _m: &mut SearchMetrics) {}
-}
-
-/// The unpack-and-delegate path of [`PreparedSearch::scan_packed`], for
-/// kernels that read byte-per-base symbols: the unpack is charged to
-/// `genome_load_s`, the scan to whatever `scan_slice` charges.
-pub(crate) fn scan_unpacked<P: PreparedSearch + ?Sized>(
-    prepared: &P,
-    packed: &PackedSeq,
-    out: &mut Vec<Hit>,
-    m: &mut SearchMetrics,
-) -> Result<(), EngineError> {
-    let load_start = Instant::now();
-    let bases = packed.unpack();
-    m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-    prepared.scan_slice(bases.as_slice(), out, m)
 }
 
 /// A complete off-target search: genome × guides × mismatch budget →
@@ -91,7 +55,7 @@ pub(crate) fn scan_unpacked<P: PreparedSearch + ?Sized>(
 /// [`crispr_guides::normalize`]).
 ///
 /// The trait is split into a compile phase ([`Engine::prepare`]) and a
-/// scan phase ([`PreparedSearch::scan_slice`]); `search`/`search_metered`
+/// scan phase ([`PreparedSearch::scan`]); `search`/`search_metered`
 /// are drivers over that split and rarely need overriding.
 pub trait Engine {
     /// A short stable name for reports and benchmarks.
@@ -120,9 +84,13 @@ pub trait Engine {
 
     /// Runs the search while filling `metrics` — the observability hook.
     ///
-    /// The hit set is identical to [`Engine::search`]. The default driver
-    /// charges [`Engine::prepare`] to `guide_compile_s` exactly once and
-    /// delegates per-slice attribution to the prepared search.
+    /// The hit set is identical to [`Engine::search`]. A convenience for
+    /// tests and benches holding a byte-per-base genome: it is packed
+    /// once (charged to `genome_load_s`) and scanned like any
+    /// [`ScanSource::Packed`], so it runs the kernels production runs.
+    /// The default driver charges [`Engine::prepare`] to
+    /// `guide_compile_s` exactly once and delegates per-range attribution
+    /// to the prepared search.
     ///
     /// # Errors
     ///
@@ -134,11 +102,15 @@ pub trait Engine {
         k: usize,
         metrics: &mut SearchMetrics,
     ) -> Result<Vec<Hit>, EngineError> {
-        self.search_cancellable(genome.into(), guides, k, &CancelToken::none(), metrics)
+        let pack_start = Instant::now();
+        let packed = genome.pack();
+        metrics.phases.genome_load_s += pack_start.elapsed().as_secs_f64();
+        let source = ScanSource::Packed(&packed);
+        self.search_cancellable(source, guides, k, &CancelToken::none(), metrics)
     }
 
-    /// [`Engine::search_metered`] over any [`ScanSource`] — byte-per-base
-    /// or packed contigs, or an opened index — with a cooperative
+    /// [`Engine::search_metered`] over any [`ScanSource`] — resident
+    /// packed contigs or an opened index — with a cooperative
     /// [`CancelToken`]: the token is polled at every contig boundary, so
     /// a manual trip or an expired deadline stops the scan within one
     /// contig-scan and surfaces as [`SearchError::Cancelled`] /
@@ -213,19 +185,20 @@ impl<E: Engine + ?Sized> Engine for &E {
     }
 }
 
-/// Drives a prepared search over every contig of `genome`: scan each
-/// contig slice, re-base contig indices, count raw hits, normalize
-/// (attributed to `report_s`).
+/// Drives a prepared search over every contig of `genome`, packed once
+/// here (a test convenience, like [`Engine::search`]): scan each contig,
+/// re-base contig indices, count raw hits, normalize (attributed to
+/// `report_s`).
 ///
 /// # Errors
 ///
-/// Propagates [`PreparedSearch::scan_slice`] failures.
+/// Propagates [`PreparedSearch::scan`] failures.
 pub fn scan_genome(
     prepared: &dyn PreparedSearch,
     genome: &Genome,
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
-    scan_genome_cancellable(prepared, genome.into(), &CancelToken::none(), m)
+    scan_genome_cancellable(prepared, ScanSource::Packed(&genome.pack()), &CancelToken::none(), m)
 }
 
 /// Finalizes a run stopped by a tripped token: the completed chunks keep
@@ -249,14 +222,12 @@ fn finish_cancelled(
 
 /// [`scan_genome`] over any [`ScanSource`], with a cooperative
 /// [`CancelToken`] polled once per contig (one relaxed load; see
-/// `cancel.rs` for why checks sit at chunk boundaries). Byte-per-base
-/// contigs go to [`PreparedSearch::scan_slice`], packed ones — words and
-/// bitmaps borrowed as they are — to [`PreparedSearch::scan_packed`], and
-/// indexed ones to `scan_packed` after a whole-contig copy out of the
-/// mapping (charged to `genome_load_s`). A contig shorter than one site
-/// holds no window and is not scanned, as in the chunked driver. On a
-/// trip, the hits recovered from fully-scanned contigs are normalized
-/// and returned inside the typed cancellation error.
+/// `cancel.rs` for why checks sit at chunk boundaries). Each contig —
+/// resident or in the index mapping — reaches [`PreparedSearch::scan`]
+/// as a view of its words and bitmaps, in place. A contig shorter than
+/// one site holds no window and is not scanned, as in the chunked
+/// driver. On a trip, the hits recovered from fully-scanned contigs are
+/// normalized and returned inside the typed cancellation error.
 ///
 /// # Errors
 ///
@@ -269,11 +240,14 @@ pub fn scan_genome_cancellable(
     m: &mut SearchMetrics,
 ) -> Result<Vec<Hit>, EngineError> {
     let site_len = prepared.site_len();
-    let contigs: Vec<(usize, usize)> =
-        source.contig_lens().into_iter().enumerate().filter(|&(_, len)| len >= site_len).collect();
+    let contigs: Vec<(usize, PackedView<'_>)> = (0..source.contig_count())
+        .map(|ci| (ci, source.view(ci)))
+        .filter(|(_, view)| view.len() >= site_len)
+        .collect();
     let chunks_total = contigs.len() as u64;
     let mut hits = Vec::new();
-    for (scanned, &(ci, len)) in contigs.iter().enumerate() {
+    for (scanned, &(ci, view)) in contigs.iter().enumerate() {
+        let len = view.len();
         if let Err(kind) = cancel.check() {
             return Err(finish_cancelled(kind, hits, scanned as u64, chunks_total, m));
         }
@@ -281,7 +255,7 @@ pub fn scan_genome_cancellable(
         let contig_start = Instant::now();
         {
             let _span = trace::span_args("contig", ci as u64, len as u64);
-            source.chunk(ci, 0, len).scan(prepared, &mut hits, m)?;
+            prepared.scan(&view, &mut hits, m)?;
         }
         // The serial driver scans one contig where the parallel one
         // scans one chunk; both feed the same latency histogram so
@@ -301,6 +275,34 @@ pub fn scan_genome_cancellable(
     }
     m.phases.report_s += report_start.elapsed().as_secs_f64();
     Ok(hits)
+}
+
+/// One site window of a view, read for per-position base tests: a single
+/// extracted word when the site fits 32 bases (every real guide's does),
+/// so all patterns tested at the window share one read; longer sites read
+/// the view base by base.
+#[derive(Clone, Copy)]
+pub(crate) struct Site<'a, 'v> {
+    view: &'a PackedView<'v>,
+    start: usize,
+    word: Option<u64>,
+}
+
+impl<'a, 'v> Site<'a, 'v> {
+    /// The `len`-base window of `view` at `start`.
+    #[inline]
+    pub(crate) fn read(view: &'a PackedView<'v>, start: usize, len: usize) -> Site<'a, 'v> {
+        Site { view, start, word: (len <= 32).then(|| view.window_word(start, len)) }
+    }
+
+    /// The base at site offset `offset`.
+    #[inline]
+    pub(crate) fn base(&self, offset: usize) -> Base {
+        match self.word {
+            Some(word) => Base::from_code((word >> (2 * offset)) as u8),
+            None => self.view.base(self.start + offset),
+        }
+    }
 }
 
 /// Validates a guide set the way the compilers do, returning the uniform
@@ -429,23 +431,28 @@ impl PreparedSearch for ScalarPrepared {
         self.site_len
     }
 
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
-        if seq.len() < self.site_len {
+        if view.len() < self.site_len {
             return Ok(());
         }
         let _kernel = trace::span("kernel:scalar");
         let scan_start = Instant::now();
-        for start in 0..=seq.len() - self.site_len {
+        // The current window, shifted one base at a time along the view.
+        let mut window: Vec<Base> = view.bases().take(self.site_len - 1).collect();
+        for (start, base) in view.bases().skip(self.site_len - 1).enumerate() {
+            window.push(base);
+            if window.len() > self.site_len {
+                window.remove(0);
+            }
             m.counters.windows_scanned += 1;
-            let window = &seq[start..start + self.site_len];
             for pattern in &self.patterns {
                 m.counters.candidates_verified += 1;
-                if let Some(mm) = pattern.score_window(window) {
+                if let Some(mm) = pattern.score_window(&window) {
                     if mm <= self.k {
                         out.push(Hit {
                             contig: 0,

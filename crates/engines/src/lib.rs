@@ -18,10 +18,12 @@
 //!
 //! Searches are split into a compile phase and a scan phase:
 //! [`Engine::prepare`] lowers guides × budget once into a reusable
-//! [`PreparedSearch`], whose [`PreparedSearch::scan_slice`] runs against
-//! any number of borrowed genome slices — the contract that lets
-//! [`ParallelEngine`] fan chunks out without recompiling or copying, and
-//! lets callers amortize compilation across genomes. Engines whose guide
+//! [`PreparedSearch`], whose one scan method, [`PreparedSearch::scan`],
+//! runs against any number of [`crispr_genome::PackedView`]s — borrowed
+//! ranges of packed contigs, resident or read in place from an on-disk
+//! index. That is the contract that lets [`ParallelEngine`] fan chunks
+//! out without recompiling or copying, and lets callers amortize
+//! compilation across genomes. Engines whose guide
 //! sets carry a selective PAM additionally front their scans with the
 //! shared PAM-anchor prefilter (see [`crispr_genome::pamindex`]); the
 //! `without_prefilter` constructors expose the unfiltered baselines.

@@ -42,8 +42,7 @@ use crate::engine::AnchorGroup;
 use crate::prefilter::PackedPattern;
 use crate::EngineError;
 use crispr_genome::kmer::pack_qgram;
-use crispr_genome::pamindex::BaseMasks;
-use crispr_genome::{Base, PackedSeq};
+use crispr_genome::{Base, PackedView};
 use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -196,7 +195,7 @@ impl Slot {
 
 /// The compiled batched deployment for one pattern set: the anchor
 /// groups, each group's fragment slots, and one packed verifier per
-/// pattern. Built once, scans any number of slices.
+/// pattern. Built once, scans any number of views.
 #[derive(Debug)]
 pub struct MultiSeedScan {
     /// `(scanner, member pattern indices)` per PAM-anchor signature.
@@ -352,17 +351,16 @@ impl MultiSeedScan {
     /// Enumerates the fragment stage alone: every distinct
     /// `(pattern index, window start)` pair whose window matches at least
     /// one of the pattern's fragments exactly, sorted. It reads the slot
-    /// tables the kernel reads, but at *every* window start, before the
-    /// anchor intersection and verification — the surface the pigeonhole
-    /// property tests probe.
-    pub fn seed_candidates(&self, seq: &[Base]) -> Vec<(u32, usize)> {
+    /// tables the kernel reads, but at *every* window start of `view`,
+    /// before the anchor intersection and verification — the surface the
+    /// pigeonhole property tests probe.
+    pub fn seed_candidates(&self, view: &PackedView<'_>) -> Vec<(u32, usize)> {
         let mut out = Vec::new();
-        if seq.len() < self.site_len {
+        if view.len() < self.site_len {
             return out;
         }
-        let packed = PackedSeq::from_bases(seq);
-        for start in 0..=seq.len() - self.site_len {
-            let site = packed.window_word(start, self.site_len);
+        for start in 0..=view.len() - self.site_len {
+            let site = view.window_word(start, self.site_len);
             for slot in self.slots.iter().flatten() {
                 out.extend(slot.proposals(site).iter().map(|&p| (p, start)));
             }
@@ -372,53 +370,22 @@ impl MultiSeedScan {
         out
     }
 
-    /// Scans one slice through the full cascade, appending slice-relative
-    /// hits. Counter semantics relative to the per-guide anchored scan on
-    /// the same slice: `windows_scanned` and `candidates_verified` are
-    /// identical (the latter counts exactly the hits), and
-    /// `pam_anchors_tested` / `early_exits` count the subset of its events
-    /// whose window matched one of the pattern's fragments.
-    /// `multiseed_candidates` counts fragment matches at anchored windows
-    /// and `multiseed_positions` the anchored windows (one per anchor
-    /// group) with at least one.
-    pub(crate) fn scan_slice(&self, seq: &[Base], out: &mut Vec<Hit>, m: &mut SearchMetrics) {
-        if seq.len() < self.site_len {
+    /// Scans one view through the full cascade — the anchor intersection
+    /// reads its stored base bitmaps, the fragment lookup and verify its
+    /// packed words — appending view-relative hits. Counter semantics
+    /// relative to the per-guide anchored scan on the same view:
+    /// `windows_scanned` and `candidates_verified` are identical (the
+    /// latter counts exactly the hits), and `pam_anchors_tested` /
+    /// `early_exits` count the subset of its events whose window matched
+    /// one of the pattern's fragments. `multiseed_candidates` counts
+    /// fragment matches at anchored windows and `multiseed_positions` the
+    /// anchored windows (one per anchor group) with at least one.
+    pub(crate) fn scan(&self, view: &PackedView<'_>, out: &mut Vec<Hit>, m: &mut SearchMetrics) {
+        if view.len() < self.site_len {
             return;
         }
-        let load_start = Instant::now();
-        let packed = PackedSeq::from_bases(seq);
-        m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-        self.scan_cascade(&packed, None, out, m);
-    }
-
-    /// [`MultiSeedScan::scan_slice`] on a slice already in index form: no
-    /// packing pass, and the anchor intersection reads the stored base
-    /// bitmaps. Hits and counter events are identical to `scan_slice` on
-    /// the unpacked content.
-    pub(crate) fn scan_packed(
-        &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) {
-        if packed.len() < self.site_len {
-            return;
-        }
-        self.scan_cascade(packed, Some(masks), out, m);
-    }
-
-    /// The cascade over one packed slice; the anchor pass reads `stored`
-    /// bitmaps when given and derives them from `packed` otherwise.
-    fn scan_cascade(
-        &self,
-        packed: &PackedSeq,
-        stored: Option<&BaseMasks>,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) {
         let scan_start = Instant::now();
-        m.counters.windows_scanned += (packed.len() + 1 - self.site_len) as u64;
+        m.counters.windows_scanned += (view.len() + 1 - self.site_len) as u64;
         // The last window start that proposed each pattern. A pattern
         // belongs to one group and each group visits a start once, so a
         // matching stamp means another of its fragments already proposed
@@ -426,12 +393,9 @@ impl MultiSeedScan {
         let mut last = vec![usize::MAX; self.verifiers.len()];
         let mut tallies = ScanTallies::default();
         for ((scanner, _), slots) in self.groups.iter().zip(&self.slots) {
-            let anchored = match stored {
-                Some(bits) => scanner.candidates_from_blocked(bits, self.site_len),
-                None => scanner.candidates_blocked(packed, self.site_len),
-            };
+            let anchored = scanner.candidates(view, self.site_len);
             for start in &anchored {
-                let site = packed.window_word(start, self.site_len);
+                let site = view.window_word(start, self.site_len);
                 let mut fired = false;
                 for slot in slots {
                     let proposed = slot.proposals(site);
@@ -491,26 +455,14 @@ impl crate::engine::PreparedSearch for MultiSeedPrepared {
         self.scan.site_len
     }
 
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
         let _kernel = crispr_trace::span("kernel:multiseed");
-        self.scan.scan_slice(seq, out, m);
-        Ok(())
-    }
-
-    fn scan_packed(
-        &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) -> Result<(), EngineError> {
-        let _kernel = crispr_trace::span("kernel:multiseed");
-        self.scan.scan_packed(packed, masks, out, m);
+        self.scan.scan(view, out, m);
         Ok(())
     }
 
@@ -573,7 +525,8 @@ mod tests {
         let guide_set = guides(Pam::ngg());
         let scan = MultiSeedScan::from_guides(&guide_set, 2).unwrap().unwrap();
         let text: crispr_genome::DnaSeq = "TTTTGATTACAGATTACAGATTACTGGAAAA".parse().unwrap();
-        let cands = scan.seed_candidates(text.as_slice());
+        let genome = crispr_genome::Genome::from_seq(text.clone()).pack();
+        let cands = scan.seed_candidates(&genome.contigs()[0].view());
         // Pattern 0 is guide a's forward pattern; its site starts at 4.
         assert!(cands.contains(&(0, 4)), "{cands:?}");
         // No out-of-bounds starts.
@@ -595,36 +548,38 @@ mod tests {
     }
 
     #[test]
-    fn packed_scan_matches_slice_scan() {
+    fn views_at_any_offset_match_the_scalar_oracle() {
         // k = 0 and 1 fragments (20 and 10 bases) take the sparse lookup,
         // k ≥ 2 fragments the dense one.
         for k in 0..=4usize {
             let (genome, guide_set, _) = crate::engine::test_support::planted_workload(311, k);
-            let contig = genome.contigs()[0].seq().as_slice();
+            let packed = genome.pack();
+            let contig = packed.contigs()[0].view();
             let site_len = guide_set[0].site_len();
-            // Whole contig, an unaligned sub-slice, exactly one site, one
+            // Whole contig, an unaligned sub-range, exactly one site, one
             // base short of a site, and far shorter than a site.
-            let slices = [
+            let views = [
                 contig,
-                &contig[7..5_000],
-                &contig[100..100 + site_len],
-                &contig[..site_len - 1],
-                &contig[..5],
+                contig.slice(7, 4_993),
+                contig.slice(100, site_len),
+                contig.slice(0, site_len - 1),
+                contig.slice(0, 5),
             ];
             let scan = MultiSeedScan::build(&patterns(&guide_set), site_len, k)
                 .expect("planted guides batch");
-            for seq in slices {
-                let packed = PackedSeq::from_bases(seq);
-                let masks = BaseMasks::build(&packed);
-                let (mut slice_hits, mut slice_m) = (Vec::new(), SearchMetrics::default());
-                scan.scan_slice(seq, &mut slice_hits, &mut slice_m);
-                let (mut packed_hits, mut packed_m) = (Vec::new(), SearchMetrics::default());
-                scan.scan_packed(&packed, &masks, &mut packed_hits, &mut packed_m);
-                let at = format!("k={k} len={}", seq.len());
-                assert_eq!(packed_hits, slice_hits, "{at}");
-                assert_eq!(packed_m.counters, slice_m.counters, "{at}");
-                if seq.len() == contig.len() {
-                    assert!(!slice_hits.is_empty(), "{at}: workload plants hits");
+            let oracle = ScalarEngine::new().prepare(&guide_set, k).unwrap();
+            for view in views {
+                let (mut hits, mut m) = (Vec::new(), SearchMetrics::default());
+                scan.scan(&view, &mut hits, &mut m);
+                let mut truth = Vec::new();
+                oracle.scan(&view, &mut truth, &mut SearchMetrics::default()).unwrap();
+                crispr_guides::normalize(&mut hits);
+                crispr_guides::normalize(&mut truth);
+                let at = format!("k={k} len={}", view.len());
+                assert_eq!(hits, truth, "{at}");
+                assert_eq!(m.counters.candidates_verified, truth.len() as u64, "{at}");
+                if view.len() == contig.len() {
+                    assert!(!hits.is_empty(), "{at}: workload plants hits");
                 }
             }
         }
@@ -638,9 +593,10 @@ mod tests {
         let scan = MultiSeedScan::from_guides(&g, 3).unwrap().unwrap();
         let text: crispr_genome::DnaSeq =
             format!("{}AGG{}", "A".repeat(20), "A".repeat(10)).parse().unwrap();
+        let genome = crispr_genome::Genome::from_seq(text).pack();
         let mut m = SearchMetrics::default();
         let mut hits = Vec::new();
-        scan.scan_slice(text.as_slice(), &mut hits, &mut m);
+        scan.scan(&genome.contigs()[0].view(), &mut hits, &mut m);
         // The one anchored window fires all four fragments …
         assert_eq!(m.counters.multiseed_candidates, 4);
         assert_eq!(m.counters.multiseed_positions, 1);
@@ -710,7 +666,8 @@ mod tests {
         let mut text: crispr_genome::DnaSeq = "CCCC".parse().unwrap();
         text.extend_from_seq(&site.revcomp());
         text.extend_from_seq(&"AAAA".parse().unwrap());
-        let cands = scan.seed_candidates(text.as_slice());
+        let genome = crispr_genome::Genome::from_seq(text).pack();
+        let cands = scan.seed_candidates(&genome.contigs()[0].view());
         // Pattern 1 is the reverse-strand pattern; its site starts at 4.
         assert!(cands.contains(&(1, 4)), "{cands:?}");
     }

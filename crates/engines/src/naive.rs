@@ -14,11 +14,11 @@
 //! only the walk to the candidates gets cheaper.
 
 use crate::degrade::guarded_accel;
-use crate::engine::{patterns, validate_guides, Engine, PreparedSearch};
+use crate::engine::{patterns, validate_guides, Engine, PreparedSearch, Site};
 use crate::prefilter::AnchoredScan;
 use crate::simd::SimdBackend;
 use crate::EngineError;
-use crispr_genome::{Base, IupacCode, PackedSeq};
+use crispr_genome::{IupacCode, PackedSeq, PackedView};
 use crispr_guides::{Guide, Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -122,39 +122,22 @@ impl PreparedSearch for CasOffinderPrepared {
         self.site_len
     }
 
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
         let _kernel = crispr_trace::span("kernel:casoffinder");
         if let Some(anchored) = &self.anchored {
-            anchored.scan_slice(seq, self.k, out, m);
+            anchored.scan(view, self.k, out, m);
             return Ok(());
         }
-        if seq.len() < self.site_len {
+        if view.len() < self.site_len {
             return Ok(());
         }
-        self.scan_brute(seq, out, m)
-    }
-
-    fn scan_packed(
-        &self,
-        packed: &crispr_genome::PackedSeq,
-        masks: &crispr_genome::pamindex::BaseMasks,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) -> Result<(), EngineError> {
-        // Anchorable sets consume the index form directly; the brute
-        // path checks PAM classes on byte-per-base symbols and takes the
-        // unpack fallback.
-        if let Some(anchored) = &self.anchored {
-            let _kernel = crispr_trace::span("kernel:casoffinder");
-            anchored.scan_packed(packed, masks, self.k, out, m);
-            return Ok(());
-        }
-        crate::engine::scan_unpacked(self, packed, out, m)
+        self.scan_brute(view, out, m);
+        Ok(())
     }
 
     fn record_gauges(&self, m: &mut SearchMetrics) {
@@ -168,29 +151,20 @@ impl PreparedSearch for CasOffinderPrepared {
 
 impl CasOffinderPrepared {
     /// The unfiltered per-window probe-then-verify scan of the original
-    /// tool; `scan_slice` dispatches here when no anchor pass applies.
-    fn scan_brute(
-        &self,
-        seq: &[Base],
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) -> Result<(), EngineError> {
-        let pack_start = Instant::now();
-        let packed = PackedSeq::from_bases(seq);
-        m.phases.genome_load_s += pack_start.elapsed().as_secs_f64();
-
+    /// tool; `scan` dispatches here when no anchor pass applies.
+    fn scan_brute(&self, view: &PackedView<'_>, out: &mut Vec<Hit>, m: &mut SearchMetrics) {
         let scan_start = Instant::now();
-        for start in 0..=seq.len() - self.site_len {
+        for start in 0..=view.len() - self.site_len {
             m.counters.windows_scanned += 1;
+            let site = Site::read(view, start, self.site_len);
             'pattern: for p in &self.compiled {
                 for &(offset, class) in &p.pam_checks {
-                    if !class.matches(seq[start + offset]) {
+                    if !class.matches(site.base(offset)) {
                         continue 'pattern;
                     }
                 }
                 m.counters.pam_anchors_tested += 1;
-                if let Some(mm) =
-                    packed.count_mismatches(&p.spacer, start + p.spacer_offset, self.k)
+                if let Some(mm) = view.count_mismatches(&p.spacer, start + p.spacer_offset, self.k)
                 {
                     m.counters.candidates_verified += 1;
                     out.push(Hit {
@@ -206,7 +180,6 @@ impl CasOffinderPrepared {
             }
         }
         m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
-        Ok(())
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::engine::{validate_guides, Engine, PreparedSearch};
 use crate::EngineError;
 use crispr_automata::sim::Simulator;
-use crispr_genome::Base;
+use crispr_genome::PackedView;
 use crispr_guides::{compile, CompileOptions, Guide, Hit, ReportCode};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -30,7 +30,7 @@ impl NfaEngine {
 }
 
 /// Compiled form: the guide-set automaton. The frontier itself is
-/// per-scan state, built fresh for each slice so one compiled set can
+/// per-scan state, built fresh for each view so one compiled set can
 /// serve concurrent scans.
 #[derive(Debug)]
 struct NfaPrepared {
@@ -42,9 +42,9 @@ impl PreparedSearch for NfaPrepared {
         self.set.site_len
     }
 
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
@@ -52,10 +52,10 @@ impl PreparedSearch for NfaPrepared {
         let scan_start = Instant::now();
         let mut sim = Simulator::new(&self.set.automaton);
         let mut reports = Vec::new();
-        m.counters.bit_steps += seq.len() as u64;
-        m.counters.windows_scanned += (seq.len() + 1).saturating_sub(self.set.site_len) as u64;
-        for base in seq {
-            sim.step(base.code(), &mut reports);
+        m.counters.bit_steps += view.len() as u64;
+        m.counters.windows_scanned += (view.len() + 1).saturating_sub(self.set.site_len) as u64;
+        for code in view.codes() {
+            sim.step(code, &mut reports);
         }
         for report in &reports {
             let code = ReportCode(report.code);

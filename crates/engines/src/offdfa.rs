@@ -10,7 +10,7 @@
 
 use crate::engine::{validate_guides, Engine, PreparedSearch};
 use crate::EngineError;
-use crispr_genome::Base;
+use crispr_genome::PackedView;
 use crispr_guides::{compile, CompileOptions, Guide, Hit, ReportCode};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -62,7 +62,7 @@ impl DfaEngine {
 }
 
 /// Compiled form: the determinized transition table. The subset blow-up
-/// is paid exactly once here, however many slices are scanned.
+/// is paid exactly once here, however many views are scanned.
 #[derive(Debug)]
 struct DfaPrepared {
     dfa: crispr_automata::dfa::Dfa,
@@ -74,22 +74,18 @@ impl PreparedSearch for DfaPrepared {
         self.site_len
     }
 
-    fn scan_slice(
+    fn scan(
         &self,
-        seq: &[Base],
+        view: &PackedView<'_>,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
     ) -> Result<(), EngineError> {
         let _kernel = crispr_trace::span("kernel:offdfa");
-        let load_start = Instant::now();
-        let symbols: Vec<u8> = seq.iter().map(|b| b.code()).collect();
-        m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-
         let scan_start = Instant::now();
         let mut reports = Vec::new();
-        self.dfa.scan_into(&symbols, &mut reports)?;
-        m.counters.bit_steps += symbols.len() as u64;
-        m.counters.windows_scanned += (symbols.len() + 1).saturating_sub(self.site_len) as u64;
+        self.dfa.scan_into(view.codes(), &mut reports)?;
+        m.counters.bit_steps += view.len() as u64;
+        m.counters.windows_scanned += (view.len() + 1).saturating_sub(self.site_len) as u64;
         for report in &reports {
             let code = ReportCode(report.code);
             out.push(Hit {

@@ -17,8 +17,8 @@
 
 use crate::engine::AnchorGroup;
 use crate::simd::{self, SimdBackend};
-use crispr_genome::pamindex::{BaseMasks, CandidateMask};
-use crispr_genome::{Base, PackedSeq, Strand};
+use crispr_genome::pamindex::CandidateMask;
+use crispr_genome::{PackedSeq, PackedView, Strand};
 use crispr_guides::{Hit, SitePattern};
 use crispr_model::SearchMetrics;
 use std::time::Instant;
@@ -118,7 +118,7 @@ pub(crate) fn anchor_plan(
 /// A compiled anchor-and-verify deployment for one pattern set: anchor
 /// scanners grouped by PAM signature, plus one packed verifier per
 /// pattern. Built once at [`crate::Engine::prepare`] time, scanned against
-/// any number of slices.
+/// any number of views.
 #[derive(Debug)]
 pub(crate) struct AnchoredScan {
     /// `(scanner, member pattern indices)` per distinct anchor signature.
@@ -177,72 +177,27 @@ impl AnchoredScan {
         self.backend
     }
 
-    /// Scans one slice: pack (`genome_load_s`), anchor + verify
-    /// (`kernel_scan_s`), appending slice-relative hits. Counter semantics
-    /// match the unfiltered brute-force scan: `windows_scanned` counts all
-    /// windows, `pam_anchors_tested` counts `(window, pattern)` PAM
-    /// passes, and verification outcomes land in `candidates_verified` /
+    /// Scans one view: anchor on its stored base bitmaps, then verify
+    /// candidates against its packed words (`kernel_scan_s`), appending
+    /// view-relative hits. Counter semantics match the unfiltered
+    /// brute-force scan: `windows_scanned` counts all windows,
+    /// `pam_anchors_tested` counts `(window, pattern)` PAM passes, and
+    /// verification outcomes land in `candidates_verified` /
     /// `early_exits`.
-    pub fn scan_slice(&self, seq: &[Base], k: usize, out: &mut Vec<Hit>, m: &mut SearchMetrics) {
-        if seq.len() < self.site_len {
-            return;
-        }
-        let load_start = Instant::now();
-        let packed = PackedSeq::from_bases(seq);
-        m.phases.genome_load_s += load_start.elapsed().as_secs_f64();
-
-        let scan_start = Instant::now();
-        m.counters.windows_scanned += (seq.len() + 1 - self.site_len) as u64;
-        let blocked = self.backend != SimdBackend::Scalar;
-        for (gi, (scanner, members)) in self.groups.iter().enumerate() {
-            let mask = if blocked {
-                scanner.candidates_blocked(&packed, self.site_len)
-            } else {
-                scanner.candidates(&packed, self.site_len)
-            };
-            match self.block_keys[gi] {
-                Some((offset, len)) if blocked => {
-                    self.scan_group_blocked(members, &mask, offset, len, &packed, k, out, m);
-                }
-                _ => self.scan_group_scalar(members, &mask, &packed, k, out, m),
-            }
-        }
-        m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
-    }
-
-    /// The packed fast path of [`AnchoredScan::scan_slice`]: the slice
-    /// arrives already 2-bit packed with its per-base anchor bitmaps
-    /// (from an on-disk index), so both the packing pass *and* the
-    /// per-class mask derivation are skipped — the anchor intersection
-    /// runs straight off the stored bitmaps
-    /// ([`crispr_genome::pamindex::AnchorScanner::candidates_from`]).
-    /// Hits and counter events are identical to `scan_slice` on the
-    /// unpacked content.
-    pub fn scan_packed(
-        &self,
-        packed: &PackedSeq,
-        masks: &BaseMasks,
-        k: usize,
-        out: &mut Vec<Hit>,
-        m: &mut SearchMetrics,
-    ) {
-        if packed.len() < self.site_len {
+    pub fn scan(&self, view: &PackedView<'_>, k: usize, out: &mut Vec<Hit>, m: &mut SearchMetrics) {
+        if view.len() < self.site_len {
             return;
         }
         let scan_start = Instant::now();
-        m.counters.windows_scanned += (packed.len() + 1 - self.site_len) as u64;
+        m.counters.windows_scanned += (view.len() + 1 - self.site_len) as u64;
         let blocked = self.backend != SimdBackend::Scalar;
         for (gi, (scanner, members)) in self.groups.iter().enumerate() {
-            let mask = if blocked {
-                scanner.candidates_from_blocked(masks, self.site_len)
-            } else {
-                scanner.candidates_from(masks, self.site_len)
-            };
+            let mask = scanner.candidates(view, self.site_len);
             match self.block_keys[gi] {
                 Some((offset, len)) if blocked => {
-                    self.scan_group_blocked(members, &mask, offset, len, packed, k, out, m);
+                    self.scan_group_blocked(members, &mask, offset, len, view, k, out, m);
                 }
-                _ => self.scan_group_scalar(members, &mask, packed, k, out, m),
+                _ => self.scan_group_scalar(members, &mask, view, k, out, m),
             }
         }
         m.phases.kernel_scan_s += scan_start.elapsed().as_secs_f64();
@@ -253,7 +208,7 @@ impl AnchoredScan {
         &self,
         members: &[usize],
         mask: &CandidateMask,
-        packed: &PackedSeq,
+        view: &PackedView<'_>,
         k: usize,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
@@ -271,7 +226,7 @@ impl AnchoredScan {
                     Some(word) => {
                         let key = (start + v.spacer_offset, v.spacer.len());
                         if key != cached {
-                            window = packed.window_word(key.0, key.1);
+                            window = view.window_word(key.0, key.1);
                             cached = key;
                         }
                         let diff = window ^ word;
@@ -279,7 +234,7 @@ impl AnchoredScan {
                         let mm = lanes.count_ones() as usize;
                         (mm <= k).then_some(mm)
                     }
-                    None => packed.count_mismatches(&v.spacer, start + v.spacer_offset, k),
+                    None => view.count_mismatches(&v.spacer, start + v.spacer_offset, k),
                 };
                 match verdict {
                     Some(mm) => {
@@ -311,7 +266,7 @@ impl AnchoredScan {
         mask: &CandidateMask,
         offset: usize,
         len: usize,
-        packed: &PackedSeq,
+        view: &PackedView<'_>,
         k: usize,
         out: &mut Vec<Hit>,
         m: &mut SearchMetrics,
@@ -328,7 +283,7 @@ impl AnchoredScan {
             for (slot, &start) in window_starts.iter_mut().zip(chunk) {
                 *slot = start + offset;
             }
-            let windows = packed.window_words(&window_starts, len);
+            let windows = view.window_words(&window_starts, len);
             for &pi in members {
                 let v = &self.verifiers[pi];
                 let word = v.word.expect("blocked groups lower to one-word verifiers");
@@ -390,35 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_scan_matches_slice_scan_on_every_backend() {
-        let pats = patterns(&[guide(Pam::ngg())]);
-        let site_len = pats[0].len();
-        let text: crispr_genome::DnaSeq =
-            "TTTTGATTACAGATTACAGATTACTGGAAAAGATTACAGATTACAGATCACAGGCCACGTACGTAGG".parse().unwrap();
-        let packed = PackedSeq::from_bases(text.as_slice());
-        let masks = BaseMasks::build(&packed);
-        for backend in SimdBackend::ALL {
-            if !backend.available() {
-                continue;
-            }
-            let scan = AnchoredScan::build(&pats, site_len, backend).unwrap();
-            let mut slice_m = SearchMetrics::default();
-            let mut slice_hits = Vec::new();
-            scan.scan_slice(text.as_slice(), 2, &mut slice_hits, &mut slice_m);
-            let mut packed_m = SearchMetrics::default();
-            let mut packed_hits = Vec::new();
-            scan.scan_packed(&packed, &masks, 2, &mut packed_hits, &mut packed_m);
-            assert_eq!(packed_hits, slice_hits, "backend {}", backend.name());
-            assert_eq!(packed_m.counters, slice_m.counters, "backend {}", backend.name());
-        }
-    }
-
-    #[test]
     fn anchored_scan_matches_brute_force_on_every_backend() {
         let pats = patterns(&[guide(Pam::ngg())]);
         let site_len = pats[0].len();
         let text: crispr_genome::DnaSeq =
             "TTTTGATTACAGATTACAGATTACTGGAAAAGATTACAGATTACAGATCACAGGCC".parse().unwrap();
+        let genome = crispr_genome::Genome::from_seq(text.clone()).pack();
         let k = 2;
 
         let mut want = Vec::new();
@@ -442,7 +374,7 @@ mod tests {
             assert_eq!(scan.backend(), backend);
             let mut m = SearchMetrics::default();
             let mut got = Vec::new();
-            scan.scan_slice(text.as_slice(), k, &mut got, &mut m);
+            scan.scan(&genome.contigs()[0].view(), k, &mut got, &mut m);
             let mut got_keys: Vec<_> =
                 got.iter().map(|h| (h.pos, h.guide, h.strand, h.mismatches)).collect();
             got_keys.sort_unstable();

@@ -283,7 +283,7 @@ mod tests {
         let pattern = pattern_src.window_word(0, 20);
         for block_start in [0usize, 3, 31, 64, 200, 460] {
             let starts: [usize; BLOCK] = std::array::from_fn(|j| block_start + 4 * j);
-            let windows = genome.window_words(&starts, 20);
+            let windows = starts.map(|start| genome.window_word(start, 20));
             let reference = hamming_lanes(&windows, pattern);
             for backend in SimdBackend::ALL {
                 if !backend.available() {
@@ -301,11 +301,11 @@ mod tests {
         let genome = packed(&"ACGTAGGT".repeat(16));
         let pat = packed("ACGTAGGT").window_word(0, 8);
         let starts: [usize; BLOCK] = std::array::from_fn(|j| 8 * j);
-        let windows = genome.window_words(&starts, 8);
+        let windows = starts.map(|start| genome.window_word(start, 8));
         let counts = hamming_lanes(&windows, pat);
         assert_eq!(counts, [0u32; BLOCK]);
         let offset_starts: [usize; BLOCK] = std::array::from_fn(|j| 8 * j + 1);
-        let shifted = genome.window_words(&offset_starts, 8);
+        let shifted = offset_starts.map(|start| genome.window_word(start, 8));
         let shifted_counts = hamming_lanes(&shifted, pat);
         assert!(shifted_counts.iter().all(|&c| c > 0));
     }

@@ -43,23 +43,38 @@
 //!
 //! # mmap safety argument
 //!
-//! [`GenomeIndex::open`] maps the file `PROT_READ`/`MAP_PRIVATE` and
-//! never constructs a typed reference into the mapping: all payload
-//! access goes through byte-slice reads (`u64::from_le_bytes` on copied
-//! chunks), so alignment of the mapping is irrelevant and no aliasing
-//! rules are stretched. Validation reads the entire file once at open
-//! (the whole-file checksum), after which every accessor stays within
-//! the bounds the validated header promised. The remaining hazard —
-//! another process truncating the file mid-scan delivering `SIGBUS` — is
-//! inherent to mmap consumers; runs that cannot rule it out use the
-//! read-to-`Vec` fallback ([`GenomeIndex::from_bytes`] on `fs::read`),
-//! which is also what non-Unix builds and unmappable files get
-//! automatically.
+//! [`GenomeIndex::open`] maps the file `PROT_READ`/`MAP_PRIVATE`; the
+//! header, metadata and checksums are read as bytes
+//! (`u64::from_le_bytes` on copied chunks). Scans read the packed and
+//! masks sections in place: [`GenomeIndex::contig_view`] hands out
+//! [`PackedView`]s whose `&[u64]` words point into the index bytes. That
+//! typed view is made in exactly one `unsafe` block (`as_words`), and it
+//! is sound because:
+//!
+//! * **alignment holds** — a mapping starts on a page boundary, owned
+//!   bytes are kept in a buffer that starts on an 8-byte boundary, and
+//!   validation rejects any section whose offset is not a multiple of 8
+//!   (every contig's run inside a section is whole words), so every word
+//!   the view reads is 8-aligned; `as_words` still checks the alignment
+//!   and panics rather than read a misaligned word;
+//! * **every bit pattern is a valid `u64`**, and the bytes are never
+//!   written while the index lives (read-only mapping, immutable buffer),
+//!   so the view cannot observe a torn or invalid value;
+//! * **the words are little-endian** on disk and read natively, so only
+//!   little-endian hosts are supported: on a big-endian host every index
+//!   constructor fails with [`GenomeError::IndexHostEndian`] before any
+//!   view exists, instead of byte-swapping behind the kernels' backs.
+//!
+//! Validation reads the entire file once at open (the whole-file
+//! checksum), after which every accessor stays within the bounds the
+//! validated header promised. The remaining hazard — another process
+//! truncating the file mid-scan delivering `SIGBUS` — is inherent to mmap
+//! consumers; runs that cannot rule it out use the read-into-memory
+//! fallback ([`GenomeIndex::from_bytes`] on `fs::read`), which is also
+//! what non-Unix builds and unmappable files get automatically.
 
 use crate::kmer::{DenseQGrams, DENSE_Q_MAX};
-use crate::packed::shifted_words;
-use crate::pamindex::BaseMasks;
-use crate::{Base, DnaSeq, Genome, GenomeError, PackedContig, PackedGenome, PackedSeq};
+use crate::{Base, Genome, GenomeError, PackedGenome, PackedView};
 use std::path::Path;
 
 /// File magic: the first eight bytes of every index.
@@ -216,10 +231,44 @@ impl Drop for MappedFile {
     }
 }
 
+/// Index bytes held in memory. The buffer carries `pad` leading bytes so
+/// that the index itself starts on an 8-byte boundary, as a mapping
+/// does, and its word sections can be viewed in place.
+struct AlignedBytes {
+    buf: Vec<u8>,
+    pad: usize,
+}
+
+impl AlignedBytes {
+    /// An empty buffer with room for `len` index bytes. Writes up to
+    /// that length never reallocate, so the start stays aligned.
+    fn with_capacity(len: usize) -> AlignedBytes {
+        let mut buf: Vec<u8> = Vec::with_capacity(len + 7);
+        let pad = buf.as_ptr().align_offset(8);
+        buf.resize(pad, 0);
+        AlignedBytes { buf, pad }
+    }
+
+    /// Adopts `bytes`, moving them only when their allocation does not
+    /// start on an 8-byte boundary.
+    fn adopt(bytes: Vec<u8>) -> AlignedBytes {
+        if bytes.as_ptr().align_offset(8) == 0 {
+            return AlignedBytes { buf: bytes, pad: 0 };
+        }
+        let mut aligned = AlignedBytes::with_capacity(bytes.len());
+        aligned.buf.extend_from_slice(&bytes);
+        aligned
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.pad..]
+    }
+}
+
 /// Where the index bytes live.
 enum Source {
     /// File bytes read (or built) into memory.
-    Owned(Vec<u8>),
+    Owned(AlignedBytes),
     /// A live mmap of the file.
     #[cfg(unix)]
     Mapped(MappedFile),
@@ -228,11 +277,27 @@ enum Source {
 impl Source {
     fn bytes(&self) -> &[u8] {
         match self {
-            Source::Owned(bytes) => bytes,
+            Source::Owned(owned) => owned.bytes(),
             #[cfg(unix)]
             Source::Mapped(mapped) => mapped.bytes(),
         }
     }
+}
+
+/// The index bytes as native words: word `i` is bytes `8i..8i + 8`.
+///
+/// # Panics
+///
+/// Panics if `bytes` does not start on an 8-byte boundary; every
+/// [`Source`] does (see the module docs).
+fn as_words(bytes: &[u8]) -> &[u64] {
+    assert!(bytes.as_ptr().cast::<u64>().is_aligned(), "index bytes start 8-byte aligned");
+    // SAFETY: the pointer is 8-aligned (checked above) and the slice
+    // covers `len / 8` whole words inside `bytes`, so it stays within
+    // one live allocation or mapping for the borrow's lifetime; every
+    // bit pattern is a valid `u64`, and index bytes are never written
+    // while borrowed (read-only mapping, immutable buffer).
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) }
 }
 
 /// Per-contig layout resolved at open time: absolute byte offsets of the
@@ -302,8 +367,7 @@ impl GenomeIndex {
             q == 0 || (1..=DENSE_Q_MAX).contains(&q),
             "q must be 0 (omit) or within 1..={DENSE_Q_MAX}"
         );
-        let bytes = serialize(genome, q);
-        GenomeIndex::from_bytes(bytes)
+        GenomeIndex::from_source(Source::Owned(serialize(genome, q)), false)
     }
 
     /// Validates and adopts raw index bytes — the read-to-`Vec` fallback
@@ -315,7 +379,7 @@ impl GenomeIndex {
     /// [`GenomeError::IndexTruncated`], [`GenomeError::IndexChecksum`],
     /// or [`GenomeError::IndexCorrupt`] describing the first violation.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<GenomeIndex, GenomeError> {
-        GenomeIndex::from_source(Source::Owned(bytes), false)
+        GenomeIndex::from_source(Source::Owned(AlignedBytes::adopt(bytes)), false)
     }
 
     /// Opens an index file: mmap on Unix when possible, otherwise (and
@@ -332,7 +396,7 @@ impl GenomeIndex {
         if let Some(mapped) = MappedFile::map(path) {
             return GenomeIndex::from_source(Source::Mapped(mapped), true);
         }
-        let bytes = std::fs::read(path)?;
+        let bytes = AlignedBytes::adopt(std::fs::read(path)?);
         GenomeIndex::from_source(Source::Owned(bytes), false)
     }
 
@@ -415,79 +479,22 @@ impl GenomeIndex {
         self.total_len
     }
 
-    /// The packed bases of `[start, start + len)` of contig `ci`,
-    /// re-aligned to a fresh [`PackedSeq`] — the shard-granular read the
-    /// streaming scan mode is built on: resident cost is the range, not
-    /// the contig.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ci` is out of range or the base range exceeds the
-    /// contig.
-    pub fn contig_packed_range(&self, ci: usize, start: usize, len: usize) -> PackedSeq {
-        let meta = &self.contigs[ci];
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= meta.len),
-            "range [{start}, {start}+{len}) out of contig bounds (len {})",
-            meta.len
-        );
-        let bytes = self.source.bytes();
-        let words = shifted_words(
-            |i| read_u64(bytes, meta.packed_start + 8 * i),
-            meta.len.div_ceil(32),
-            start / 32,
-            (start % 32) as u32 * 2,
-            len.div_ceil(32),
-        );
-        PackedSeq::from_raw_parts(words, len).expect("word count computed from len")
-    }
-
-    /// The whole packed contig `ci`.
+    /// Contig `ci` as a [`PackedView`] read in place: its 2-bit words and
+    /// base bitmaps point straight into the index bytes — the mapping or
+    /// the owned buffer — so viewing a contig, or any chunk of it
+    /// ([`PackedView::slice`]), copies nothing.
     ///
     /// # Panics
     ///
     /// Panics if `ci` is out of range.
-    pub fn contig_packed(&self, ci: usize) -> PackedSeq {
-        self.contig_packed_range(ci, 0, self.contigs[ci].len)
-    }
-
-    /// The per-base anchor bitmaps of `[start, start + len)` of contig
-    /// `ci`, re-aligned like [`GenomeIndex::contig_packed_range`].
-    /// Bit-identical to `BaseMasks::build` on the same range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ci` is out of range or the base range exceeds the
-    /// contig.
-    pub fn contig_masks_range(&self, ci: usize, start: usize, len: usize) -> BaseMasks {
+    pub fn contig_view(&self, ci: usize) -> PackedView<'_> {
         let meta = &self.contigs[ci];
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= meta.len),
-            "range [{start}, {start}+{len}) out of contig bounds (len {})",
-            meta.len
-        );
-        let contig_words = meta.len.div_ceil(64);
-        let bytes = self.source.bytes();
-        let masks = [0usize, 1, 2, 3].map(|b| {
-            let run_start = meta.masks_start + b * 8 * contig_words;
-            shifted_words(
-                |i| read_u64(bytes, run_start + 8 * i),
-                contig_words,
-                start / 64,
-                (start % 64) as u32,
-                len.div_ceil(64),
-            )
-        });
-        BaseMasks::from_raw_parts(masks, len).expect("word count computed from len")
-    }
-
-    /// The whole-contig anchor bitmaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ci` is out of range.
-    pub fn contig_masks(&self, ci: usize) -> BaseMasks {
-        self.contig_masks_range(ci, 0, self.contigs[ci].len)
+        let words = as_words(self.source.bytes());
+        let packed = &words[meta.packed_start / 8..][..meta.len.div_ceil(32)];
+        let mask_words = meta.len.div_ceil(64);
+        let masks =
+            std::array::from_fn(|b| &words[meta.masks_start / 8 + b * mask_words..][..mask_words]);
+        PackedView::new(packed, masks, meta.len)
     }
 
     /// The dense q-gram table of contig `ci`, or `None` when the index
@@ -522,22 +529,6 @@ impl GenomeIndex {
         Ok(Some(table))
     }
 
-    /// Copies every contig's packed words and base bitmaps out of the
-    /// index into a resident [`PackedGenome`] — no unpack, no mask
-    /// rebuild: one linear word copy of 0.75 byte per base. What a
-    /// daemon holds instead of the mapping.
-    pub fn to_packed(&self) -> PackedGenome {
-        (0..self.contigs.len())
-            .map(|ci| {
-                PackedContig::new(
-                    self.contigs[ci].name.clone(),
-                    self.contig_packed(ci),
-                    self.contig_masks(ci),
-                )
-            })
-            .collect()
-    }
-
     /// Materializes the full [`Genome`] by unpacking every contig — the
     /// compatibility path for consumers that need byte-per-base
     /// sequences (the modeled platforms). Skips FASTA parsing entirely;
@@ -550,13 +541,18 @@ impl GenomeIndex {
     pub fn to_genome(&self) -> Result<Genome, GenomeError> {
         let mut genome = Genome::new();
         for ci in 0..self.contigs.len() {
-            let seq: DnaSeq = self.contig_packed(ci).unpack();
-            genome.add_contig(self.contigs[ci].name.clone(), seq)?;
+            genome.add_contig(
+                self.contigs[ci].name.clone(),
+                self.contig_view(ci).bases().collect(),
+            )?;
         }
         Ok(genome)
     }
 
     fn from_source(source: Source, mapped: bool) -> Result<GenomeIndex, GenomeError> {
+        if cfg!(target_endian = "big") {
+            return Err(GenomeError::IndexHostEndian);
+        }
         let (q, contigs, total_len) = validate(source.bytes())?;
         Ok(GenomeIndex { source, mapped, q, contigs, total_len })
     }
@@ -582,7 +578,7 @@ fn pad8(out: &mut Vec<u8>) {
     }
 }
 
-fn serialize(genome: &PackedGenome, q: usize) -> Vec<u8> {
+fn serialize(genome: &PackedGenome, q: usize) -> AlignedBytes {
     let mut meta = Vec::new();
     push_u32(&mut meta, q as u32);
     push_u32(&mut meta, genome.contig_count() as u32);
@@ -634,26 +630,28 @@ fn serialize(genome: &PackedGenome, q: usize) -> Vec<u8> {
     }
     let file_len = cursor.next_multiple_of(8) + 8;
 
-    let mut out = Vec::with_capacity(file_len);
+    let mut file = AlignedBytes::with_capacity(file_len);
+    let head = file.pad;
+    let out = &mut file.buf;
     out.extend_from_slice(&MAGIC);
-    push_u32(&mut out, VERSION);
-    push_u32(&mut out, sections.len() as u32);
-    push_u64(&mut out, file_len as u64);
+    push_u32(out, VERSION);
+    push_u32(out, sections.len() as u32);
+    push_u64(out, file_len as u64);
     for (section, &offset) in sections.iter().zip(&offsets) {
-        push_u32(&mut out, section.id);
-        push_u32(&mut out, 0);
-        push_u64(&mut out, offset as u64);
-        push_u64(&mut out, section.payload.len() as u64);
-        push_u64(&mut out, checksum(&section.payload));
+        push_u32(out, section.id);
+        push_u32(out, 0);
+        push_u64(out, offset as u64);
+        push_u64(out, section.payload.len() as u64);
+        push_u64(out, checksum(&section.payload));
     }
     for (section, &offset) in sections.iter().zip(&offsets) {
-        out.resize(offset, 0);
+        out.resize(head + offset, 0);
         out.extend_from_slice(&section.payload);
     }
-    out.resize(file_len - 8, 0);
-    let trailer = checksum(&out);
-    push_u64(&mut out, trailer);
-    out
+    out.resize(head + file_len - 8, 0);
+    let trailer = checksum(&out[head..]);
+    push_u64(out, trailer);
+    file
 }
 
 /// Full validation pass: header, checksums, and structural decode.
@@ -704,6 +702,9 @@ fn validate(bytes: &[u8]) -> Result<(usize, Vec<ContigMeta>, usize), GenomeError
         let (Some(_), true) = (end, offset >= table_len as u64) else {
             return Err(corrupt(format!("section {} out of file bounds", section_name(id))));
         };
+        if !offset.is_multiple_of(8) {
+            return Err(corrupt(format!("section {} is not 8-byte aligned", section_name(id))));
+        }
         let payload = &bytes[offset as usize..(offset + len) as usize];
         if checksum(payload) != stored {
             return Err(GenomeError::IndexChecksum { section: section_name(id) });
@@ -820,9 +821,24 @@ fn validate(bytes: &[u8]) -> Result<(usize, Vec<ContigMeta>, usize), GenomeError
 mod tests {
     use super::*;
     use crate::synth::SynthSpec;
+    use crate::{DnaSeq, IupacCode};
 
     fn sample_genome() -> Genome {
         SynthSpec::new(3_000).seed(97).contigs(3).generate()
+    }
+
+    /// The view's bases and its four base bitmaps, bit by bit.
+    fn read_back(view: &PackedView<'_>) -> (DnaSeq, [Vec<bool>; 4]) {
+        let bitmaps = Base::ALL.map(|base| {
+            let (bits, lead) = view.class_bits(IupacCode::from_base(base));
+            (0..view.len()).map(|p| bits[(lead + p) / 64] >> ((lead + p) % 64) & 1 == 1).collect()
+        });
+        (view.bases().collect(), bitmaps)
+    }
+
+    /// What `read_back` must return for `seq`.
+    fn expected(seq: &DnaSeq) -> (DnaSeq, [Vec<bool>; 4]) {
+        (seq.clone(), Base::ALL.map(|base| seq.as_slice().iter().map(|&b| b == base).collect()))
     }
 
     #[test]
@@ -836,9 +852,7 @@ mod tests {
         for (ci, contig) in genome.contigs().iter().enumerate() {
             assert_eq!(index.contig_name(ci), contig.name());
             assert_eq!(index.contig_len(ci), contig.len());
-            let packed = PackedSeq::from_seq(contig.seq());
-            assert_eq!(index.contig_packed(ci), packed, "contig {ci}");
-            assert_eq!(index.contig_masks(ci), BaseMasks::build(&packed), "contig {ci}");
+            assert_eq!(read_back(&index.contig_view(ci)), expected(contig.seq()), "contig {ci}");
             assert_eq!(
                 index.contig_qgrams(ci).unwrap().unwrap(),
                 DenseQGrams::build_from_bases(contig.seq().as_slice(), 4),
@@ -847,29 +861,39 @@ mod tests {
         }
         let back = index.to_genome().unwrap();
         assert_eq!(back, genome);
-        assert_eq!(index.to_packed(), genome.pack());
     }
 
     #[test]
-    fn ranged_reads_equal_rebuilt_slices() {
+    fn ranged_views_equal_rebuilt_slices() {
         let genome = sample_genome();
         let index = GenomeIndex::build(&genome, 0).unwrap();
         assert_eq!(index.q(), None);
         assert!(index.contig_qgrams(0).unwrap().is_none());
         let contig = &genome.contigs()[1];
-        let full = PackedSeq::from_seq(contig.seq());
         for (start, len) in [(0, 0), (0, 1), (0, 64), (1, 63), (31, 66), (63, 130), (500, 377)] {
-            let window: Vec<Base> =
-                (start..start + len).map(|i| contig.seq().as_slice()[i]).collect();
-            let expect = PackedSeq::from_bases(&window);
-            assert_eq!(index.contig_packed_range(1, start, len), expect, "{start}+{len}");
-            assert_eq!(
-                index.contig_masks_range(1, start, len),
-                BaseMasks::build(&expect),
-                "{start}+{len}"
-            );
+            let view = index.contig_view(1).slice(start, len);
+            assert_eq!(read_back(&view), expected(&contig.seq().subseq(start..start + len)));
         }
-        assert_eq!(index.contig_packed_range(1, 0, full.len()), full);
+    }
+
+    #[test]
+    fn misaligned_sections_are_rejected() {
+        let genome = SynthSpec::new(300).seed(7).generate();
+        let good = GenomeIndex::build(&genome, 0).unwrap().as_bytes().to_vec();
+        // Shift the packed section's recorded offset by four bytes and
+        // re-seal both checksums: only the alignment rule can object.
+        let entry = HEADER_LEN + TABLE_ENTRY_LEN; // section 1 is packed
+        let mut bad = good.clone();
+        let offset = read_u64(&bad, entry + 8) + 4;
+        bad[entry + 8..entry + 16].copy_from_slice(&offset.to_le_bytes());
+        let len = read_u64(&bad, entry + 16) as usize;
+        let sum = checksum(&bad[offset as usize..offset as usize + len]);
+        bad[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+        let body = bad.len() - 8;
+        let trailer = checksum(&bad[..body]);
+        bad[body..].copy_from_slice(&trailer.to_le_bytes());
+        let err = GenomeIndex::from_bytes(bad).expect_err("misaligned section accepted");
+        assert!(err.to_string().contains("aligned"), "{err}");
     }
 
     #[test]
@@ -951,8 +975,8 @@ mod tests {
         let index = GenomeIndex::build(&genome, 2).unwrap();
         assert_eq!(index.to_genome().unwrap(), genome);
         assert_eq!(index.contig_len(0), 0);
-        assert_eq!(index.contig_packed(0), PackedSeq::new());
-        assert_eq!(index.contig_packed(1).unpack().to_string(), "G");
+        assert!(index.contig_view(0).is_empty());
+        assert_eq!(read_back(&index.contig_view(1)), expected(&"G".parse().unwrap()));
         assert_eq!(index.contig_qgrams(0).unwrap().unwrap().positions().len(), 0);
     }
 

@@ -56,6 +56,9 @@ pub enum GenomeError {
         /// What was inconsistent.
         reason: String,
     },
+    /// This host is big-endian. Scans read an index's little-endian
+    /// words in place, so indexes open on little-endian hosts only.
+    IndexHostEndian,
 }
 
 impl fmt::Display for GenomeError {
@@ -86,6 +89,9 @@ impl fmt::Display for GenomeError {
             }
             GenomeError::IndexCorrupt { reason } => {
                 write!(f, "corrupt index: {}", reason)
+            }
+            GenomeError::IndexHostEndian => {
+                write!(f, "genome indexes hold little-endian words; this big-endian host cannot read them in place")
             }
         }
     }

@@ -1,5 +1,5 @@
 use crate::pamindex::BaseMasks;
-use crate::{DnaSeq, GenomeError, PackedSeq};
+use crate::{Base, DnaSeq, GenomeError, PackedSeq, PackedView};
 use std::fmt;
 
 /// Which strand of the double helix a site lies on.
@@ -213,6 +213,12 @@ impl PackedContig {
         &self.masks
     }
 
+    /// The whole contig as a [`PackedView`], borrowing its words and
+    /// bitmaps; [`PackedView::slice`] narrows it to a chunk.
+    pub fn view(&self) -> PackedView<'_> {
+        PackedView::new(self.seq.words(), Base::ALL.map(|b| self.masks.mask(b)), self.len())
+    }
+
     /// Length in bases.
     pub fn len(&self) -> usize {
         self.seq.len()
@@ -224,11 +230,9 @@ impl PackedContig {
     }
 }
 
-/// A reference genome held in packed form — the representation the
-/// scan kernels read and an on-disk index stores, so a daemon booted
-/// from either FASTA ([`Genome::pack`]) or an index
-/// ([`crate::diskindex::GenomeIndex::to_packed`]) hands its contigs to
-/// the kernels unchanged.
+/// A reference genome held in packed form — the words and bitmaps an
+/// on-disk index stores for the same contigs, so the scan kernels read
+/// either one through the same [`PackedView`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedGenome {
     contigs: Vec<PackedContig>,

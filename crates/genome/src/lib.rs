@@ -6,11 +6,14 @@
 //! * [`Base`] — the four-letter DNA alphabet, and [`IupacCode`] — the 16-code
 //!   IUPAC ambiguity alphabet used by PAM motifs such as `NGG` or `NNGRRT`.
 //! * [`DnaSeq`] — an owned, validated DNA sequence with reverse-complement and
-//!   slicing support, and [`PackedSeq`] — the 2-bit-packed representation used
-//!   by the brute-force (Cas-OFFinder-class) comparison kernels.
-//! * [`pamindex`] — the PAM-anchor prefilter: one linear pass over a packed
-//!   slice yielding a bitmask of candidate site starts, shared by the CPU
-//!   engines as a skip-ahead, and [`kmer`] — q-gram indexing for
+//!   slicing support, and [`PackedSeq`] — the 2-bit-packed representation
+//!   contigs and guide spacers are stored in.
+//! * [`PackedView`] — a borrowed range of one packed contig (its 2-bit words
+//!   and four base bitmaps, resident or read in place from an index): the
+//!   one input every scan kernel reads.
+//! * [`pamindex`] — the PAM-anchor prefilter: one linear pass over a view's
+//!   base bitmaps yielding a bitmask of candidate site starts, shared by the
+//!   CPU engines as a skip-ahead, and [`kmer`] — q-gram indexing for
 //!   filtration-style engines.
 //! * [`fasta`] — a minimal FASTA reader/writer, and [`diskindex`] — a
 //!   versioned, checksummed on-disk serialization of the packed bases,
@@ -47,9 +50,11 @@ mod packed;
 pub mod pamindex;
 mod seq;
 pub mod synth;
+mod view;
 
 pub use base::{Base, IupacCode};
 pub use error::GenomeError;
 pub use genome::{Contig, Genome, PackedContig, PackedGenome, Strand, WindowIter};
 pub use packed::{hamming_lanes, PackedSeq};
 pub use seq::DnaSeq;
+pub use view::PackedView;

@@ -24,7 +24,7 @@ pub struct PackedSeq {
 }
 
 /// Bases per 64-bit word.
-const BASES_PER_WORD: usize = 32;
+pub(crate) const BASES_PER_WORD: usize = 32;
 
 impl PackedSeq {
     /// Creates an empty packed sequence.
@@ -119,54 +119,6 @@ impl PackedSeq {
         DnaSeq::from_bases(bases)
     }
 
-    /// Counts mismatches between `pattern` (a short packed sequence) and the
-    /// window of the same length starting at `offset` in `self`, stopping
-    /// early once the count exceeds `limit`.
-    ///
-    /// This is the inner loop of the Cas-OFFinder-class brute-force engine:
-    /// XOR the 2-bit lanes, OR the two bits of each lane together, popcount.
-    /// Early exit on `> limit` is what gives brute force its only
-    /// mismatch-budget sensitivity.
-    ///
-    /// Returns `None` if the count exceeds `limit` (the caller only cares
-    /// about budget-respecting sites), otherwise `Some(count)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + pattern.len() > self.len()`.
-    pub fn count_mismatches(
-        &self,
-        pattern: &PackedSeq,
-        offset: usize,
-        limit: usize,
-    ) -> Option<usize> {
-        assert!(
-            offset + pattern.len() <= self.len,
-            "window [{}, {}) out of bounds (len {})",
-            offset,
-            offset + pattern.len(),
-            self.len
-        );
-        let mut mismatches = 0usize;
-        let mut remaining = pattern.len();
-        let mut pat_idx = 0usize;
-        while remaining > 0 {
-            let take = remaining.min(BASES_PER_WORD);
-            let window = self.extract_word(offset + pat_idx, take);
-            let pat = pattern.extract_word(pat_idx, take);
-            let diff = window ^ pat;
-            // Collapse each 2-bit lane to its low bit: lane != 0 ⇔ mismatch.
-            let lane_hit = (diff | (diff >> 1)) & 0x5555_5555_5555_5555;
-            mismatches += lane_hit.count_ones() as usize;
-            if mismatches > limit {
-                return None;
-            }
-            pat_idx += take;
-            remaining -= take;
-        }
-        Some(mismatches)
-    }
-
     /// Position bitmask of the bases accepted by `class`: bit `p % 64` of
     /// word `p / 64` of the result is set iff `class.matches(self.base(p))`.
     ///
@@ -194,106 +146,48 @@ impl PackedSeq {
     }
 
     /// Extracts `count` bases starting at `index` as a right-aligned
-    /// 2-bit-per-base word; lanes beyond `count` are zero. The public
-    /// entry point for word-at-a-time verifiers (the PAM-anchor
-    /// prefilter compares one extracted window word against many
-    /// precomputed spacer words).
+    /// 2-bit-per-base word; lanes beyond `count` are zero — how a
+    /// verifier lowers a spacer to the word it compares windows against.
     ///
     /// # Panics
     ///
     /// Panics if `count > 32` or `index + count > self.len()` (debug
     /// builds; release builds may return garbage instead).
     pub fn window_word(&self, index: usize, count: usize) -> u64 {
-        self.extract_word(index, count)
+        debug_assert!(index + count <= self.len);
+        extract(&self.words, index, count)
     }
 
     /// The raw 2-bit packed storage: base `32·w + i` occupies bits `2i`
-    /// of word `w`. SIMD kernels walk this slice directly instead of
-    /// paying the per-call bounds logic of [`PackedSeq::window_word`].
+    /// of word `w` — what an index stores and a [`crate::PackedView`]
+    /// reads in place.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Extracts `N` windows of `count` bases in one call: `out[j]` equals
-    /// [`PackedSeq::window_word`]`(starts[j], count)`. Width-generic over
-    /// the lane count so a verifier can pull a whole block of candidate
-    /// windows before fanning them out to the lane-parallel compare.
-    pub fn window_words<const N: usize>(&self, starts: &[usize; N], count: usize) -> [u64; N] {
-        let mut out = [0u64; N];
-        for (slot, &start) in out.iter_mut().zip(starts) {
-            *slot = self.extract_word(start, count);
-        }
-        out
-    }
-
-    /// The bases `[start, start + len)` re-aligned to a fresh packed
-    /// sequence — the copy a scan of a sub-contig chunk gets. Equal to
-    /// packing the same bases directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the sequence.
-    pub fn range(&self, start: usize, len: usize) -> PackedSeq {
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= self.len),
-            "range [{start}, {start}+{len}) out of bounds (len {})",
-            self.len
-        );
-        let words = shifted_words(
-            |i| self.words[i],
-            self.words.len(),
-            start / BASES_PER_WORD,
-            (start % BASES_PER_WORD) as u32 * 2,
-            len.div_ceil(BASES_PER_WORD),
-        );
-        PackedSeq::from_raw_parts(words, len).expect("word count computed from len")
-    }
-
-    /// Extracts `count ≤ 32` bases starting at `index` as a right-aligned
-    /// 2-bit-per-base word; lanes beyond `count` are zero.
-    fn extract_word(&self, index: usize, count: usize) -> u64 {
-        debug_assert!(count <= BASES_PER_WORD);
-        debug_assert!(index + count <= self.len);
-        let word_idx = index / BASES_PER_WORD;
-        let bit = (index % BASES_PER_WORD) * 2;
-        let mut value = self.words[word_idx] >> bit;
-        if bit != 0 && word_idx + 1 < self.words.len() {
-            value |= self.words[word_idx + 1] << (64 - bit);
-        }
-        if count < BASES_PER_WORD {
-            value &= (1u64 << (count * 2)) - 1;
-        }
-        value
-    }
 }
 
-/// Reads `out_words` words of a word run as if its bit stream started
-/// `bit_shift` bits into word `first_word`: the cross-word
-/// shift-and-combine that re-bases a packed or bitmap run onto a chunk or
-/// shard boundary. `word_at(i)` yields stored word `i` — decoded from an
-/// index file or read from resident words — and words at or past
-/// `avail_words` read as zero.
-pub(crate) fn shifted_words(
-    word_at: impl Fn(usize) -> u64,
-    avail_words: usize,
-    first_word: usize,
-    bit_shift: u32,
-    out_words: usize,
-) -> Vec<u64> {
-    let word = |i: usize| if i < avail_words { word_at(i) } else { 0 };
-    let mut out = Vec::with_capacity(out_words);
-    for i in 0..out_words {
-        let lo = word(first_word + i) >> bit_shift;
-        let hi = if bit_shift == 0 { 0 } else { word(first_word + i + 1) << (64 - bit_shift) };
-        out.push(lo | hi);
+/// Extracts `count ≤ 32` bases starting at base `index` of a 2-bit word
+/// run as a right-aligned word; lanes beyond `count` are zero, and words
+/// past the end of the run read as zero.
+#[inline]
+pub(crate) fn extract(words: &[u64], index: usize, count: usize) -> u64 {
+    debug_assert!(count <= BASES_PER_WORD);
+    let word_idx = index / BASES_PER_WORD;
+    let bit = (index % BASES_PER_WORD) * 2;
+    let mut value = words[word_idx] >> bit;
+    if bit != 0 && word_idx + 1 < words.len() {
+        value |= words[word_idx + 1] << (64 - bit);
     }
-    out
+    if count < BASES_PER_WORD {
+        value &= (1u64 << (count * 2)) - 1;
+    }
+    value
 }
 
 /// Per-lane spacer mismatch counts: `out[j]` is the Hamming distance
 /// between the 2-bit window word `windows[j]` and `pattern`, both
 /// right-aligned and equal-length. The width-generic form of the
-/// one-word compare inside [`PackedSeq::count_mismatches`] — XOR,
+/// one-word compare inside [`crate::PackedView::count_mismatches`] — XOR,
 /// collapse each 2-bit lane to its low bit, popcount — written as
 /// straight-line per-lane code so vector backends can replace it with
 /// one wide XOR/AND/POPCNT sequence.
@@ -382,40 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn count_mismatches_exact() {
-        let genome = PackedSeq::from_seq(&seq("AAAACGTAAAA"));
-        let pat = PackedSeq::from_seq(&seq("ACGT"));
-        assert_eq!(genome.count_mismatches(&pat, 3, 0), Some(0));
-        assert_eq!(genome.count_mismatches(&pat, 0, 4), Some(3)); // AAAA vs ACGT
-        assert_eq!(genome.count_mismatches(&pat, 0, 2), None);
-    }
-
-    #[test]
-    fn count_mismatches_spanning_words() {
-        // Pattern of length 40 straddles the 32-base word boundary for
-        // offsets 0..8.
-        let text = "ACGT".repeat(30);
-        let genome = PackedSeq::from_seq(&seq(&text));
-        let pat = PackedSeq::from_seq(&seq(&"ACGT".repeat(10)));
-        for offset in 0..genome.len() - pat.len() {
-            let expected = seq(&text).subseq(offset..offset + 40).hamming_distance(&pat.unpack());
-            assert_eq!(
-                genome.count_mismatches(&pat, offset, 40),
-                Some(expected),
-                "offset {offset}"
-            );
-        }
-    }
-
-    #[test]
-    fn early_exit_respects_limit() {
-        let genome = PackedSeq::from_seq(&seq(&"A".repeat(64)));
-        let pat = PackedSeq::from_seq(&seq(&"C".repeat(64)));
-        assert_eq!(genome.count_mismatches(&pat, 0, 63), None);
-        assert_eq!(genome.count_mismatches(&pat, 0, 64), Some(64));
-    }
-
-    #[test]
     fn collect_from_iterator() {
         let packed: PackedSeq = Base::ALL.into_iter().collect();
         assert_eq!(packed.unpack().to_string(), "ACGT");
@@ -435,47 +295,18 @@ mod tests {
     }
 
     #[test]
-    fn range_equals_packing_the_subsequence() {
-        let text = seq(&"GATTACAGGCCTAGGTACGTT".repeat(9)); // 189 bases
-        let packed = PackedSeq::from_seq(&text);
-        for (start, len) in [(0, 0), (0, 189), (1, 31), (31, 34), (32, 64), (63, 126), (188, 1)] {
-            assert_eq!(
-                packed.range(start, len),
-                PackedSeq::from_seq(&text.subseq(start..start + len)),
-                "{start}+{len}"
-            );
-        }
-    }
-
-    #[test]
-    fn window_words_matches_window_word() {
-        let text = seq(&"ACGTGGTACCTA".repeat(12)); // 144 bases
-        let packed = PackedSeq::from_seq(&text);
-        for count in [1, 5, 20, 31, 32] {
-            let starts = [0, 1, 31, 32, 33, 63, 100, 144 - count];
-            let block = packed.window_words(&starts, count);
-            for (j, &start) in starts.iter().enumerate() {
-                assert_eq!(
-                    block[j],
-                    packed.window_word(start, count),
-                    "start {start} count {count}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn hamming_lanes_matches_count_mismatches() {
         let text = seq(&"GATTACAGGCCTAGGTACGT".repeat(8)); // 160 bases
-        let packed = PackedSeq::from_seq(&text);
+        let genome = crate::Genome::from_seq(text.clone()).pack();
+        let view = genome.contigs()[0].view();
         let pat_seq = text.subseq(7..27);
         let pat = PackedSeq::from_seq(&pat_seq);
         let pattern = pat.window_word(0, 20);
         let starts = [0, 3, 7, 30, 64, 90, 128, 140];
-        let windows = packed.window_words(&starts, 20);
+        let windows = view.window_words(&starts, 20);
         let counts = hamming_lanes(&windows, pattern);
         for (j, &start) in starts.iter().enumerate() {
-            let expected = packed.count_mismatches(&pat, start, 20).unwrap();
+            let expected = view.count_mismatches(&pat, start, 20).unwrap();
             assert_eq!(counts[j] as usize, expected, "start {start}");
         }
     }

@@ -1,42 +1,41 @@
-//! PAM-anchor prefiltering: one linear pass over a 2-bit packed slice
-//! that yields a bitmask of candidate site starts.
+//! PAM-anchor prefiltering: one linear pass over the base bitmaps of a
+//! [`PackedView`] that yields a bitmask of candidate site starts.
 //!
 //! Off-target sites are anchored by their PAM: only ~1/16 of genome
 //! positions carry an `NGG`, yet a full scan pays per-pattern work at
 //! *every* position. An [`AnchorScanner`] holds the selective anchor
 //! positions of one pattern class — e.g. forward-strand `NGG` requires
 //! `G` at site offsets 21 and 22 — and intersects per-class position
-//! bitmaps ([`crate::PackedSeq::match_mask`]) shifted by each anchor
-//! offset. The result is a [`CandidateMask`] whose set bits are exactly
-//! the window starts where every anchor position matches; engines verify
-//! only those. This is the pre-alignment-filter shape of GateKeeper-class
-//! tools: a cheap bitwise pass in front of an expensive verifier.
+//! bitmaps shifted by each anchor offset. The result is a
+//! [`CandidateMask`] whose set bits are exactly the window starts where
+//! every anchor position matches; engines verify only those. This is the
+//! pre-alignment-filter shape of GateKeeper-class tools: a cheap bitwise
+//! pass over bit-vectors of the reference in front of an expensive
+//! verifier.
 //!
 //! ```
 //! use crispr_genome::pamindex::AnchorScanner;
-//! use crispr_genome::{IupacCode, PackedSeq};
+//! use crispr_genome::{Genome, IupacCode};
 //!
 //! // Forward-strand NGG on a 23-base site: G at offsets 21 and 22.
 //! let g = IupacCode::from_ascii(b'G').unwrap();
 //! let scanner = AnchorScanner::new(vec![(21, g), (22, g)]).unwrap();
 //! let text: crispr_genome::DnaSeq =
 //!     "ACGTACGTACGTACGTACGTAGGACGTACGTACGTACGTACGTACGG".parse()?;
-//! let candidates = scanner.candidates(&PackedSeq::from_seq(&text), 23);
+//! let genome = Genome::from_seq(text).pack();
+//! let candidates = scanner.candidates(&genome.contigs()[0].view(), 23);
 //! // Two anchored windows: the planted AGG at 21 and the trailing CGG.
 //! assert_eq!(candidates.iter().collect::<Vec<_>>(), vec![0, 24]);
 //! # Ok::<(), crispr_genome::GenomeError>(())
 //! ```
 
-use crate::{Base, IupacCode, PackedSeq};
-use std::borrow::Cow;
+use crate::{Base, IupacCode, PackedSeq, PackedView};
 
 /// The four concrete-base position bitmaps of one sequence — the exact
 /// per-base masks [`PackedSeq::match_mask`] is built from, precomputed
-/// and stored so an on-disk index can hand them back without touching
-/// the packed bases. Any IUPAC class mask is the OR of its member base
-/// masks ([`BaseMasks::class_mask`]), bit for bit what `match_mask`
-/// would have produced, which is what lets an index-fed anchor pass
-/// yield byte-identical candidates to a FASTA-fed one.
+/// and stored so the anchor pass and an on-disk index read them without
+/// touching the packed bases. Any IUPAC class mask is the OR of its
+/// member base masks, bit for bit what `match_mask` would have produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseMasks {
     /// One bitmap per base in [`Base::ALL`] order; bit `p % 64` of word
@@ -86,53 +85,6 @@ impl BaseMasks {
     /// The position bitmap of one concrete base.
     pub fn mask(&self, base: Base) -> &[u64] {
         &self.masks[base.code() as usize]
-    }
-
-    /// The bitmaps of positions `[start, start + len)`, re-aligned like
-    /// [`PackedSeq::range`]. Equal to building them for the same range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the covered positions.
-    pub fn range(&self, start: usize, len: usize) -> BaseMasks {
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= self.len),
-            "range [{start}, {start}+{len}) out of bounds (len {})",
-            self.len
-        );
-        let masks = self.masks.each_ref().map(|mask| {
-            crate::packed::shifted_words(
-                |i| mask[i],
-                mask.len(),
-                start / 64,
-                (start % 64) as u32,
-                len.div_ceil(64),
-            )
-        });
-        BaseMasks::from_raw_parts(masks, len).expect("word count computed from len")
-    }
-
-    /// [`BaseMasks::class_mask`], borrowing the stored bitmap when the
-    /// class is a single base (the anchors of every `NGG`-style PAM).
-    fn class_bits(&self, class: IupacCode) -> Cow<'_, [u64]> {
-        match class.degeneracy() {
-            1 => Cow::Borrowed(self.mask(class.bases().next().expect("one member base"))),
-            _ => Cow::Owned(self.class_mask(class)),
-        }
-    }
-
-    /// The position bitmap of an IUPAC class: the OR of its member base
-    /// bitmaps, equal to [`PackedSeq::match_mask`] on the same sequence.
-    pub fn class_mask(&self, class: IupacCode) -> Vec<u64> {
-        let mut out = vec![0u64; self.len.div_ceil(64)];
-        for base in Base::ALL {
-            if class.matches(base) {
-                for (slot, &word) in out.iter_mut().zip(&self.masks[base.code() as usize]) {
-                    *slot |= word;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -184,106 +136,43 @@ impl AnchorScanner {
         self.pairs.iter().map(|&(_, c)| f64::from(c.degeneracy()) / 4.0).product()
     }
 
-    /// Candidate starts in `packed`: positions where a `window`-length
-    /// site fits and every anchor position matches its class.
+    /// Candidate starts in `view`: positions where a `window`-length
+    /// site fits and every anchor position matches its class, read from
+    /// the view's base bitmaps at any start offset.
     ///
-    /// # Panics
-    ///
-    /// Panics if `window < self.span()` (an anchor would fall outside the
-    /// window).
-    pub fn candidates(&self, packed: &PackedSeq, window: usize) -> CandidateMask {
-        self.intersect(packed.len(), window, |c| Cow::Owned(packed.match_mask(c)))
-    }
-
-    /// [`AnchorScanner::candidates`] fed from precomputed per-base
-    /// bitmaps instead of the packed bases — the path an on-disk index
-    /// takes. Identical output: both passes intersect the same class
-    /// masks ([`BaseMasks::class_mask`] ≡ [`PackedSeq::match_mask`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window < self.span()`.
-    pub fn candidates_from(&self, masks: &BaseMasks, window: usize) -> CandidateMask {
-        self.intersect(masks.len(), window, |c| masks.class_bits(c))
-    }
-
-    fn intersect<'m>(
-        &self,
-        len: usize,
-        window: usize,
-        mask_of: impl Fn(IupacCode) -> Cow<'m, [u64]>,
-    ) -> CandidateMask {
-        assert!(window >= self.span, "window {window} shorter than anchor span {}", self.span);
-        let limit = (len + 1).saturating_sub(window.max(1));
-        let words = limit.div_ceil(64);
-        if words == 0 {
-            return CandidateMask { words: Vec::new(), limit: 0 };
-        }
-        let class_masks: Vec<(IupacCode, Cow<'m, [u64]>)> =
-            self.classes.iter().map(|&c| (c, mask_of(c))).collect();
-        let mut acc = vec![u64::MAX; words];
-        for &(offset, class) in &self.pairs {
-            let mask = &class_masks
-                .iter()
-                .find(|(c, _)| *c == class)
-                .expect("every pair class is cached")
-                .1;
-            and_shifted(&mut acc, mask, offset);
-        }
-        if !limit.is_multiple_of(64) {
-            *acc.last_mut().expect("words > 0") &= (1u64 << (limit % 64)) - 1;
-        }
-        CandidateMask { words: acc, limit }
-    }
-
-    /// Block form of [`AnchorScanner::candidates`]: identical output, but
-    /// the intersection runs 256 bits (four accumulator words) at a time
+    /// The intersection runs 256 bits (four accumulator words) at a time
     /// with a per-block early exit — once a block's accumulator has gone
     /// all-zero, the remaining anchor pairs skip it entirely. On
     /// PAM-sparse genomes most blocks die after the first one or two
     /// pairs, cutting the pass from `pairs × words` toward `words` AND
     /// operations; the fixed four-word block also hands vector units four
     /// independent 64-bit lanes per step with no cross-lane carries.
-    pub fn candidates_blocked(&self, packed: &PackedSeq, window: usize) -> CandidateMask {
-        self.intersect_blocked(packed.len(), window, |c| Cow::Owned(packed.match_mask(c)))
-    }
-
-    /// [`AnchorScanner::candidates_blocked`] fed from precomputed
-    /// per-base bitmaps — the index-backed counterpart, identical
-    /// output (see [`AnchorScanner::candidates_from`]).
     ///
     /// # Panics
     ///
-    /// Panics if `window < self.span()`.
-    pub fn candidates_from_blocked(&self, masks: &BaseMasks, window: usize) -> CandidateMask {
-        self.intersect_blocked(masks.len(), window, |c| masks.class_bits(c))
-    }
-
-    fn intersect_blocked<'m>(
-        &self,
-        len: usize,
-        window: usize,
-        mask_of: impl Fn(IupacCode) -> Cow<'m, [u64]>,
-    ) -> CandidateMask {
+    /// Panics if `window < self.span()` (an anchor would fall outside the
+    /// window).
+    pub fn candidates(&self, view: &PackedView<'_>, window: usize) -> CandidateMask {
         assert!(window >= self.span, "window {window} shorter than anchor span {}", self.span);
-        let limit = (len + 1).saturating_sub(window.max(1));
+        let limit = (view.len() + 1).saturating_sub(window.max(1));
         let words = limit.div_ceil(64);
         if words == 0 {
             return CandidateMask { words: Vec::new(), limit: 0 };
         }
-        let class_masks: Vec<(IupacCode, Cow<'m, [u64]>)> =
-            self.classes.iter().map(|&c| (c, mask_of(c))).collect();
+        // Each class bitmap covers the view's words; view position `p`
+        // sits at bit `lead + p` of it.
+        let class_masks: Vec<_> = self.classes.iter().map(|&c| (c, view.class_bits(c))).collect();
         let mut acc = vec![u64::MAX; words];
         for block in (0..words).step_by(4) {
             let block_end = (block + 4).min(words);
             for &(offset, class) in &self.pairs {
-                let mask = &class_masks
+                let (mask, lead) = &class_masks
                     .iter()
                     .find(|(c, _)| *c == class)
                     .expect("every pair class is cached")
                     .1;
-                let word_shift = offset / 64;
-                let bit_shift = offset % 64;
+                let word_shift = (lead + offset) / 64;
+                let bit_shift = (lead + offset) % 64;
                 let mut alive = 0u64;
                 for (i, word) in acc[block..block_end].iter_mut().enumerate() {
                     let slot = block + i;
@@ -305,21 +194,6 @@ impl AnchorScanner {
             *acc.last_mut().expect("words > 0") &= (1u64 << (limit % 64)) - 1;
         }
         CandidateMask { words: acc, limit }
-    }
-}
-
-/// In-place `acc[p] &= mask[p + offset]` at bit granularity.
-fn and_shifted(acc: &mut [u64], mask: &[u64], offset: usize) {
-    let word_shift = offset / 64;
-    let bit_shift = offset % 64;
-    for (i, slot) in acc.iter_mut().enumerate() {
-        let lo = mask.get(i + word_shift).copied().unwrap_or(0) >> bit_shift;
-        let hi = if bit_shift == 0 {
-            0
-        } else {
-            mask.get(i + word_shift + 1).copied().unwrap_or(0) << (64 - bit_shift)
-        };
-        *slot &= lo | hi;
     }
 }
 
@@ -392,7 +266,7 @@ impl Iterator for Candidates<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Base, DnaSeq};
+    use crate::{Base, DnaSeq, Genome, PackedGenome};
 
     fn seq(s: &str) -> DnaSeq {
         s.parse().unwrap()
@@ -400,6 +274,10 @@ mod tests {
 
     fn class(letter: u8) -> IupacCode {
         IupacCode::from_ascii(letter).unwrap()
+    }
+
+    fn packed(text: &DnaSeq) -> PackedGenome {
+        Genome::from_seq(text.clone()).pack()
     }
 
     /// Candidate starts computed the slow way.
@@ -413,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_scalar_on_mixed_content() {
+    fn agrees_with_scalar_on_mixed_content_at_any_view_start() {
         // Deterministic but irregular content spanning several mask words.
         let mut text = DnaSeq::default();
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -423,7 +301,7 @@ mod tests {
             state ^= state << 17;
             text.push(Base::from_code((state >> 33) as u8));
         }
-        let packed = PackedSeq::from_seq(&text);
+        let genome = packed(&text);
         let cases: Vec<(Vec<(usize, IupacCode)>, usize)> = vec![
             (vec![(21, class(b'G')), (22, class(b'G'))], 23), // NGG forward
             (vec![(0, class(b'C')), (1, class(b'C'))], 23),   // NGG reverse image
@@ -434,25 +312,27 @@ mod tests {
         ];
         for (pairs, window) in cases {
             let scanner = AnchorScanner::new(pairs.clone()).unwrap();
-            let got: Vec<usize> = scanner.candidates(&packed, window).iter().collect();
-            assert_eq!(got, scalar_candidates(&text, &pairs, window), "pairs {pairs:?}");
-            let blocked: Vec<usize> = scanner.candidates_blocked(&packed, window).iter().collect();
-            assert_eq!(blocked, got, "blocked pass diverged for pairs {pairs:?}");
+            for start in [0, 1, 37, 63, 64, 65, 300] {
+                let view = genome.contigs()[0].view().slice(start, 700 - start);
+                let got: Vec<usize> = scanner.candidates(&view, window).iter().collect();
+                let want = scalar_candidates(&text.subseq(start..700), &pairs, window);
+                assert_eq!(got, want, "pairs {pairs:?} start {start}");
+            }
         }
     }
 
     #[test]
-    fn blocked_pass_matches_word_pass_on_all_lengths() {
+    fn blocked_pass_matches_scalar_on_all_lengths() {
         // Lengths straddling the 256-bit block boundary and ragged tails;
         // rare anchors so whole blocks actually die early.
         let text = seq(&"ACGTAGGTGATTACCA".repeat(40)); // 640 bases
-        let scanner = AnchorScanner::new(vec![(5, class(b'G')), (6, class(b'G'))]).unwrap();
+        let pairs = vec![(5, class(b'G')), (6, class(b'G'))];
+        let scanner = AnchorScanner::new(pairs.clone()).unwrap();
         for len in [0, 7, 8, 63, 64, 255, 256, 257, 300, 511, 512, 513, 640] {
             let prefix = text.subseq(0..len);
-            let packed = PackedSeq::from_seq(&prefix);
-            let word: Vec<usize> = scanner.candidates(&packed, 8).iter().collect();
-            let blocked: Vec<usize> = scanner.candidates_blocked(&packed, 8).iter().collect();
-            assert_eq!(blocked, word, "len {len}");
+            let got: Vec<usize> =
+                scanner.candidates(&packed(&prefix).contigs()[0].view(), 8).iter().collect();
+            assert_eq!(got, scalar_candidates(&prefix, &pairs, 8), "len {len}");
         }
     }
 
@@ -460,7 +340,7 @@ mod tests {
     fn count_limit_and_contains_are_consistent() {
         let text = seq(&"ACGTAGGT".repeat(20)); // 160 bases
         let scanner = AnchorScanner::new(vec![(5, class(b'G')), (6, class(b'G'))]).unwrap();
-        let mask = scanner.candidates(&PackedSeq::from_seq(&text), 8);
+        let mask = scanner.candidates(&packed(&text).contigs()[0].view(), 8);
         assert_eq!(mask.limit(), 153);
         let listed: Vec<usize> = mask.iter().collect();
         assert_eq!(listed.len(), mask.count());
@@ -474,7 +354,7 @@ mod tests {
     fn sequences_shorter_than_one_window_yield_nothing() {
         let scanner = AnchorScanner::new(vec![(21, class(b'G')), (22, class(b'G'))]).unwrap();
         for text in ["", "A", "ACGTACGTACGTACGTACGTAG"] {
-            let mask = scanner.candidates(&PackedSeq::from_seq(&seq(text)), 23);
+            let mask = scanner.candidates(&packed(&seq(text)).contigs()[0].view(), 23);
             assert_eq!(mask.count(), 0, "text {text:?}");
             assert_eq!(mask.limit(), 0, "text {text:?}");
         }
@@ -495,41 +375,19 @@ mod tests {
     }
 
     #[test]
-    fn base_masks_reproduce_match_mask_and_candidates() {
+    fn base_masks_reproduce_match_mask() {
         let text = seq(&"GATTACAGGCCTAGGT".repeat(11)); // 176 bases
         for len in [0usize, 1, 7, 63, 64, 65, 127, 128, 129, 176] {
-            let prefix = text.subseq(0..len);
-            let packed = PackedSeq::from_seq(&prefix);
+            let packed = PackedSeq::from_seq(&text.subseq(0..len));
             let masks = BaseMasks::build(&packed);
             assert_eq!(masks.len(), len);
-            for letter in *b"ACGTRYSWKMBDHVN" {
-                let class = IupacCode::from_ascii(letter).unwrap();
+            for base in Base::ALL {
                 assert_eq!(
-                    masks.class_mask(class),
-                    packed.match_mask(class),
-                    "len {len} class {}",
-                    letter as char
+                    masks.mask(base),
+                    packed.match_mask(IupacCode::from_base(base)).as_slice(),
+                    "len {len} base {base:?}"
                 );
             }
-            if len >= 8 {
-                let scanner = AnchorScanner::new(vec![(5, class(b'G')), (6, class(b'G'))]).unwrap();
-                let direct: Vec<usize> = scanner.candidates(&packed, 8).iter().collect();
-                let from_masks: Vec<usize> = scanner.candidates_from(&masks, 8).iter().collect();
-                assert_eq!(from_masks, direct, "len {len}");
-                let from_masks_blocked: Vec<usize> =
-                    scanner.candidates_from_blocked(&masks, 8).iter().collect();
-                assert_eq!(from_masks_blocked, direct, "blocked, len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn base_masks_range_equals_building_the_range() {
-        let text = seq(&"GATTACAGGCCTAGGTT".repeat(11)); // 187 bases
-        let masks = BaseMasks::build(&PackedSeq::from_seq(&text));
-        for (start, len) in [(0, 0), (0, 187), (1, 63), (63, 65), (64, 64), (100, 87), (186, 1)] {
-            let expect = BaseMasks::build(&PackedSeq::from_seq(&text.subseq(start..start + len)));
-            assert_eq!(masks.range(start, len), expect, "{start}+{len}");
         }
     }
 
@@ -558,6 +416,6 @@ mod tests {
     #[should_panic(expected = "shorter than anchor span")]
     fn window_shorter_than_span_panics() {
         let scanner = AnchorScanner::new(vec![(10, class(b'G'))]).unwrap();
-        let _ = scanner.candidates(&PackedSeq::from_seq(&seq("ACGTACGTACGTACGT")), 5);
+        let _ = scanner.candidates(&packed(&seq("ACGTACGTACGTACGT")).contigs()[0].view(), 5);
     }
 }

@@ -81,11 +81,6 @@ pub struct EngineCounters {
     pub candidates_verified: u64,
     /// Hits emitted before normalization/dedup.
     pub raw_hits: u64,
-    /// Genome bases copied into scratch buffers (chunking, re-packing of
-    /// owned sub-genomes). The parallel deployment scans borrowed slices,
-    /// so this should stay zero — a nonzero value flags a reintroduced
-    /// per-chunk copy.
-    pub bytes_copied: u64,
     /// Faults raised by the failpoint subsystem during this search
     /// (panics, injected errors, delays). Zero outside fault-injection
     /// runs.
@@ -114,7 +109,6 @@ impl EngineCounters {
         self.multiseed_positions += other.multiseed_positions;
         self.candidates_verified += other.candidates_verified;
         self.raw_hits += other.raw_hits;
-        self.bytes_copied += other.bytes_copied;
         self.faults_injected += other.faults_injected;
         self.chunks_retried += other.chunks_retried;
         self.chunks_failed += other.chunks_failed;
@@ -132,7 +126,6 @@ impl EngineCounters {
             + self.multiseed_positions
             + self.candidates_verified
             + self.raw_hits
-            + self.bytes_copied
             + self.faults_injected
             + self.chunks_retried
             + self.chunks_failed
@@ -397,7 +390,7 @@ impl SearchMetrics {
         ));
         let c = &self.counters;
         out.push_str(&format!(
-            "\"counters\":{{\"windows_scanned\":{},\"pam_anchors_tested\":{},\"seed_survivors\":{},\"bit_steps\":{},\"early_exits\":{},\"multiseed_candidates\":{},\"multiseed_positions\":{},\"candidates_verified\":{},\"raw_hits\":{},\"bytes_copied\":{},\"faults_injected\":{},\"chunks_retried\":{},\"chunks_failed\":{},\"degraded_paths\":{}}}",
+            "\"counters\":{{\"windows_scanned\":{},\"pam_anchors_tested\":{},\"seed_survivors\":{},\"bit_steps\":{},\"early_exits\":{},\"multiseed_candidates\":{},\"multiseed_positions\":{},\"candidates_verified\":{},\"raw_hits\":{},\"faults_injected\":{},\"chunks_retried\":{},\"chunks_failed\":{},\"degraded_paths\":{}}}",
             c.windows_scanned,
             c.pam_anchors_tested,
             c.seed_survivors,
@@ -407,7 +400,6 @@ impl SearchMetrics {
             c.multiseed_positions,
             c.candidates_verified,
             c.raw_hits,
-            c.bytes_copied,
             c.faults_injected,
             c.chunks_retried,
             c.chunks_failed,
@@ -544,9 +536,9 @@ mod tests {
         assert_eq!(a.raw_hits, 2);
         assert!(a.any_nonzero());
         assert!(!EngineCounters::default().any_nonzero());
-        // A lone copy regression still registers.
-        let copied = EngineCounters { bytes_copied: 1, ..Default::default() };
-        assert!(copied.any_nonzero());
+        // A lone fault still registers.
+        let faulted = EngineCounters { faults_injected: 1, ..Default::default() };
+        assert!(faulted.any_nonzero());
     }
 
     #[test]
@@ -610,7 +602,7 @@ mod tests {
         let worker = parallel.get("worker_phases").expect("worker phases present");
         assert_eq!(worker.get("kernel_scan_s").and_then(json::Value::as_f64), Some(0.0625));
         assert_eq!(worker.get("guide_compile_s").and_then(json::Value::as_f64), Some(0.0));
-        assert_eq!(counters.get("bytes_copied").and_then(json::Value::as_f64), Some(0.0));
+        assert_eq!(counters.get("faults_injected").and_then(json::Value::as_f64), Some(0.0));
         let gauges = value.get("gauges").expect("gauges present");
         assert_eq!(gauges.get("dfa_states").and_then(json::Value::as_f64), Some(1234.0));
     }

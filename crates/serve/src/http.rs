@@ -115,7 +115,8 @@ fn read_line<R: BufRead>(
     String::from_utf8(raw).map_err(|_| ParseError::Bad("non-UTF-8 header line".to_string()))
 }
 
-/// Decodes `%XX` escapes and `+`-as-space in a query component.
+/// Decodes `%XX` escapes (exactly two ASCII hex digits) and
+/// `+`-as-space in a query component; any other `%` stays literal.
 fn percent_decode(text: &str) -> String {
     let bytes = text.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -123,15 +124,13 @@ fn percent_decode(text: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'+' => out.push(b' '),
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(byte) => {
-                        out.push(byte);
-                        i += 2;
-                    }
-                    None => out.push(b'%'),
-                }
+            b'%' if bytes
+                .get(i + 1..i + 3)
+                .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) =>
+            {
+                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).expect("ASCII hex digits");
+                out.push(u8::from_str_radix(hex, 16).expect("two hex digits fit a byte"));
+                i += 2;
             }
             b => out.push(b),
         }
@@ -332,6 +331,17 @@ mod tests {
         let req = parse("GET /x?a=one%20two&b=1%2C2 HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.query_param("a"), Some("one two"));
         assert_eq!(req.query_param("b"), Some("1,2"));
+    }
+
+    #[test]
+    fn percent_escapes_need_two_hex_digits() {
+        // A signed radix parse alone would read `%+1` as byte 0x01.
+        assert_eq!(percent_decode("%+1"), "% 1"); // `%` kept, `+` is a space
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("% 1"), "% 1");
+        assert_eq!(percent_decode("%4"), "%4");
+        assert_eq!(percent_decode("%41"), "A");
+        assert_eq!(percent_decode("%4a"), "J");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The serving layer: a resident daemon that loads a genome once and
-//! answers concurrent off-target queries over HTTP/1.1. The resident
-//! genome is the packed form the kernels read — 2-bit words plus four
-//! per-base bitmaps, 0.75 byte per base — packed from FASTA or copied
-//! from an on-disk index at boot, never unpacked or re-packed per query.
+//! answers concurrent off-target queries over HTTP/1.1. The genome is
+//! the packed form the kernels read — 2-bit words plus four per-base
+//! bitmaps, 0.75 byte per base — packed from FASTA at boot, or an
+//! on-disk index whose mapping every query reads in place; it is never
+//! copied, unpacked or re-packed per query.
 //!
 //! The batch CLI pays the genome load and guide compile on every
 //! invocation; a screening service asking many small questions about one

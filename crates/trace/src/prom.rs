@@ -51,7 +51,6 @@ pub fn render(metrics: &SearchMetrics) -> String {
         ),
         ("candidates_verified", "Candidates fully verified by scoring.", c.candidates_verified),
         ("raw_hits", "Hits emitted before normalization.", c.raw_hits),
-        ("bytes_copied", "Genome bases copied into scratch buffers.", c.bytes_copied),
         ("faults_injected", "Failpoint faults raised during the search.", c.faults_injected),
         ("chunks_retried", "Chunk scans re-queued after a failure.", c.chunks_retried),
         ("chunks_failed", "Chunk scans that exhausted their retry budget.", c.chunks_failed),
@@ -191,10 +190,10 @@ mod tests {
     #[test]
     fn every_counter_field_is_rendered() {
         // Guards against a new EngineCounters field being forgotten
-        // here: count the *_total series (14 counters + 1 parallel).
+        // here: count the *_total series (13 counters + 1 parallel).
         let out = render(&sample());
         let totals = out.lines().filter(|l| !l.starts_with('#') && l.contains("_total ")).count();
-        assert_eq!(totals, 15, "unexpected counter series count:\n{out}");
+        assert_eq!(totals, 14, "unexpected counter series count:\n{out}");
     }
 
     #[test]

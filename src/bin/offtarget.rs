@@ -135,10 +135,10 @@ index: `offtarget index` serializes the 2-bit packed bases and per-base
 anchor bitmaps into one versioned, checksummed file (`--qgram Q` adds
 q-gram seed tables, which no scan reads); `search --index` / `serve
 --index` memory-map it (falling back to a buffered read) and skip the
-FASTA parse and all per-run derivation. `--shard N` (N >= 1) scans in
-chunks of N window starts on --threads workers, each read from the
-index when it is scanned, to bound resident memory on references larger
-than RAM; its --metrics carry the chunked driver's `parallel` block.
+FASTA parse and all per-run derivation: scans read the mapped words and
+bitmaps in place. `--shard N` (N >= 1) scans in chunks of N window
+starts on --threads workers, each a view of the mapped index; its
+--metrics carry the chunked driver's `parallel` block.
 
 exit codes: 0 success; 1 error; 2 usage; 3 partial results — some chunks
 failed every retry; the recovered hits and every requested sidecar
@@ -470,7 +470,7 @@ fn cmd_search(args: &[String]) -> Result<u8, CliError> {
         return Err("--genome and --index are mutually exclusive".into());
     }
     if flags.contains_key("shard") && !flags.contains_key("index") {
-        return Err("--shard requires --index (it bounds how much index is read at once)".into());
+        return Err("--shard requires --index (it sets the chunk length of an index scan)".into());
     }
     let (search, contig_names, total_bases) = match flags.get("index") {
         Some(path) => {
@@ -711,8 +711,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         Some(path) => {
             use crispr_offtarget::genome::diskindex::GenomeIndex;
             let load_start = Instant::now();
-            let index = GenomeIndex::open(path)?;
-            Server::start_indexed(&index, load_start.elapsed().as_secs_f64(), cfg.clone())?
+            let index = Arc::new(GenomeIndex::open(path)?);
+            Server::start_indexed(index, load_start.elapsed().as_secs_f64(), cfg.clone())?
         }
         None => {
             let (genome, _) =

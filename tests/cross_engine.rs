@@ -182,7 +182,8 @@ mod differential {
     /// Every engine variant under differential test. The DFA is included
     /// only at small budgets (it fails loudly past its state budget, which
     /// is expected, not a conformance bug); the parallel variants exercise
-    /// the batched path under default and adversarially tight chunking.
+    /// the batched path under default and adversarially tight chunking,
+    /// and every other kernel family at chunk length `site_len − 1`.
     fn engine_variants(k: usize, site_len: usize) -> Vec<(&'static str, Box<dyn Engine>)> {
         let mut variants: Vec<(&'static str, Box<dyn Engine>)> = vec![
             ("bitparallel", Box::new(BitParallelEngine::new())),
@@ -208,17 +209,38 @@ mod differential {
                         .with_chunk_len(site_len + 1),
                 ),
             ),
+            // Every kernel family at the tightest chunking: views that
+            // start mid-word for the automata, CasOT's anchored verify
+            // and the symbol-reading fallbacks of the per-guide engines.
+            (
+                "parallel-nfa-chunk-minus-1",
+                Box::new(ParallelEngine::new(NfaEngine::new(), 3).with_chunk_len(site_len - 1)),
+            ),
+            (
+                "parallel-casot-chunk-minus-1",
+                Box::new(ParallelEngine::new(CasotEngine::new(), 3).with_chunk_len(site_len - 1)),
+            ),
+            (
+                "parallel-bitparallel-nofilter-chunk-minus-1",
+                Box::new(
+                    ParallelEngine::new(BitParallelEngine::without_prefilter(), 3)
+                        .with_chunk_len(site_len - 1),
+                ),
+            ),
+            (
+                "parallel-cas-offinder-nofilter-chunk-minus-1",
+                Box::new(
+                    ParallelEngine::new(CasOffinderCpuEngine::without_prefilter(), 3)
+                        .with_chunk_len(site_len - 1),
+                ),
+            ),
         ];
-        // Forced portable twins of the per-guide SIMD kernels, so the
+        // A forced portable twin of the per-guide SIMD verify, so the
         // fallback stays under differential test on hardware where `auto`
         // dispatches AVX2/NEON. The batched kernel does not dispatch.
         variants.push((
             "cas-offinder-simd-portable",
             Box::new(CasOffinderCpuEngine::new().with_simd(SimdBackend::Portable)),
-        ));
-        variants.push((
-            "casot-simd-portable",
-            Box::new(CasotEngine::new().with_simd(SimdBackend::Portable)),
         ));
         if k <= 2 {
             variants.push(("dfa", Box::new(DfaEngine::new())));

@@ -265,11 +265,48 @@ fn threaded_index_runs_read_their_chunks_on_the_workers() {
         .run()
         .unwrap();
     let m = report.metrics();
-    // No whole-genome copy before the fan-out: each worker reads the
-    // chunks it scans straight out of the index.
+    // No whole-genome copy before the fan-out, and none on the workers:
+    // each chunk is a view of the index's words and bitmaps in place.
     assert_eq!(m.phases.genome_load_s, 0.0);
     let worker_phases = &m.parallel.as_ref().expect("parallel block").worker_phases;
-    assert!(worker_phases.genome_load_s > 0.0);
+    assert_eq!(worker_phases.genome_load_s, 0.0);
+}
+
+#[test]
+fn cpu_scans_charge_no_genome_load_on_any_source() {
+    // Every CPU engine reads the packed words and bitmaps in place —
+    // resident or mapped, whole contigs or chunks at any start — so
+    // nothing is ever copied or unpacked into a load phase.
+    let (genome, guides) = workload();
+    let packed = genome.pack();
+    let index = Arc::new(opened_index(&genome, "no-load"));
+    for platform in Platform::cpu() {
+        for (source, search) in [
+            ("packed", OffTargetSearch::from_packed(packed.clone())),
+            ("index", OffTargetSearch::from_index(Arc::clone(&index))),
+        ] {
+            for threads in [1usize, 3] {
+                for shard in [None, Some(1009)] {
+                    let report = search
+                        .clone()
+                        .guides(guides.clone())
+                        .max_mismatches(2)
+                        .platform(platform)
+                        .threads(threads)
+                        .shard(shard)
+                        .run()
+                        .unwrap_or_else(|e| panic!("{platform}: {e}"));
+                    let m = report.metrics();
+                    let at = format!("{platform} {source} threads={threads} shard={shard:?}");
+                    assert!(!report.hits().is_empty(), "{at}: workload plants hits");
+                    assert_eq!(m.phases.genome_load_s, 0.0, "{at}");
+                    let workers = m.parallel.as_ref().map(|p| p.worker_phases.genome_load_s);
+                    assert_eq!(workers.unwrap_or(0.0), 0.0, "{at}: a worker copied");
+                    assert_eq!(m.parallel.is_some(), threads > 1 || shard.is_some(), "{at}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -404,13 +441,13 @@ fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
 #[test]
 fn index_booted_daemon_answers_like_a_fasta_booted_one() {
     let (genome, guides) = workload();
-    let index = opened_index(&genome, "serve");
+    let index = Arc::new(opened_index(&genome, "serve"));
     let mut body = Vec::new();
     guide_io::write_guides(&mut body, &guides).unwrap();
     for scan_threads in [1usize, 3] {
         let cfg = ServeConfig { scan_threads, ..ServeConfig::default() };
         let from_fasta = Server::start(genome.clone(), cfg.clone()).unwrap();
-        let from_index = Server::start_indexed(&index, 0.0, cfg).unwrap();
+        let from_index = Server::start_indexed(Arc::clone(&index), 0.0, cfg).unwrap();
         for engine in Platform::cpu() {
             let target = format!("/search?k=2&engine={engine}");
             let (fasta_status, fasta_tsv) = post(from_fasta.local_addr(), &target, &body);

@@ -481,8 +481,9 @@ fn cancelled_run_reports_only_completed_chunks_and_a_retry_is_clean() {
     let scenario = FailScenario::setup("parallel.chunk=delay60");
     let token = CancelToken::with_deadline(Duration::from_millis(150));
     let mut cancelled_m = SearchMetrics::default();
+    let packed = genome.pack();
     let err = engine
-        .search_cancellable((&genome).into(), &guides, 3, &token, &mut cancelled_m)
+        .search_cancellable((&packed).into(), &guides, 3, &token, &mut cancelled_m)
         .expect_err("the deadline must trip");
     drop(scenario);
     assert!(matches!(err, SearchError::DeadlineExceeded { .. }), "{err}");

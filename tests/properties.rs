@@ -33,22 +33,22 @@ proptest! {
     }
 
     /// 2-bit packing is lossless and window mismatch counts agree with the
-    /// scalar definition.
+    /// scalar definition, read through a view at any start.
     #[test]
     fn packed_mismatches_agree_with_scalar(
         text in dna_seq(30..120),
         pat in dna_seq(8..24),
         offset in 0usize..8,
+        view_start in 0usize..8,
     ) {
-        prop_assume!(offset + pat.len() <= text.len());
-        let packed_text = PackedSeq::from_seq(&text);
-        prop_assert_eq!(packed_text.unpack(), text.clone());
+        prop_assume!(view_start + offset + pat.len() <= text.len());
+        prop_assert_eq!(PackedSeq::from_seq(&text).unpack(), text.clone());
+        let genome = Genome::from_seq(text.clone()).pack();
+        let view = genome.contigs()[0].view().slice(view_start, text.len() - view_start);
         let packed_pat = PackedSeq::from_seq(&pat);
-        let expected = text.subseq(offset..offset + pat.len()).hamming_distance(&pat);
-        prop_assert_eq!(
-            packed_text.count_mismatches(&packed_pat, offset, pat.len()),
-            Some(expected)
-        );
+        let at = view_start + offset;
+        let expected = text.subseq(at..at + pat.len()).hamming_distance(&pat);
+        prop_assert_eq!(view.count_mismatches(&packed_pat, offset, pat.len()), Some(expected));
     }
 
     /// All CPU engines agree with the scalar oracle on random workloads.
@@ -227,7 +227,8 @@ proptest! {
             .expect("valid guide set")
             .expect("real PAMs batch");
         let site_len = scan.site_len();
-        let cands = scan.seed_candidates(text.as_slice());
+        let packed = Genome::from_seq(text.clone()).pack();
+        let cands = scan.seed_candidates(&packed.contigs()[0].view());
         if text.len() >= site_len {
             // Pattern order matches the engines': guide 0 forward, then
             // reverse.
@@ -341,9 +342,9 @@ proptest! {
         for (slot, raw) in starts.iter_mut().zip(&raw_starts) {
             *slot = raw % (max_start + 1);
         }
-        let packed = PackedSeq::from_seq(&text);
+        let genome = Genome::from_seq(text.clone()).pack();
         let pattern = PackedSeq::from_seq(&pat).window_word(0, pat.len());
-        let windows = packed.window_words(&starts, pat.len());
+        let windows = genome.contigs()[0].view().window_words(&starts, pat.len());
         let lanes = hamming_lanes(&windows, pattern);
         for (lane, &start) in lanes.iter().zip(&starts) {
             let expected = text.subseq(start..start + pat.len()).hamming_distance(&pat);
@@ -386,9 +387,27 @@ mod index_roundtrips {
     use super::dna_seq;
     use crispr_offtarget::genome::diskindex::GenomeIndex;
     use crispr_offtarget::genome::kmer::{DenseQGrams, QGramIndex};
-    use crispr_offtarget::genome::pamindex::BaseMasks;
-    use crispr_offtarget::genome::{DnaSeq, Genome, IupacCode, PackedSeq};
+    use crispr_offtarget::genome::pamindex::{AnchorScanner, BaseMasks};
+    use crispr_offtarget::genome::{Base, DnaSeq, Genome, IupacCode, PackedSeq, PackedView};
     use proptest::prelude::*;
+
+    /// A view read back through its public surface: the bases of its
+    /// 2-bit words, and per concrete base the positions its bitmaps mark
+    /// (an anchor pass with one anchor and a one-base window).
+    fn read_back(view: &PackedView<'_>) -> (DnaSeq, Vec<Vec<usize>>) {
+        let marked = Base::ALL.map(|base| {
+            let scanner = AnchorScanner::new(vec![(0, IupacCode::from_base(base))]).unwrap();
+            scanner.candidates(view, 1).iter().collect()
+        });
+        (view.bases().collect(), marked.to_vec())
+    }
+
+    /// What [`read_back`] must return for `seq`.
+    fn expected(seq: &DnaSeq) -> (DnaSeq, Vec<Vec<usize>>) {
+        let marked =
+            Base::ALL.map(|base| (0..seq.len()).filter(|&p| seq[p] == base).collect::<Vec<_>>());
+        (seq.clone(), marked.to_vec())
+    }
 
     fn genome(contigs: std::ops::Range<usize>) -> impl Strategy<Value = Genome> {
         prop::collection::vec(dna_seq(0..80), contigs).prop_map(|seqs| {
@@ -426,8 +445,8 @@ mod index_roundtrips {
             prop_assert!(PackedSeq::from_raw_parts(vec![0; seq.len() / 32 + 2], seq.len()).is_none());
         }
 
-        /// Per-base anchor bitmaps reproduce `match_mask` for every
-        /// IUPAC class after a raw-parts round trip.
+        /// Per-base anchor bitmaps reproduce `match_mask` for every base
+        /// after a raw-parts round trip.
         #[test]
         fn base_masks_round_trip_and_agree(seq in dna_seq(0..130)) {
             let packed = PackedSeq::from_seq(&seq);
@@ -443,9 +462,9 @@ mod index_roundtrips {
             )
             .unwrap();
             prop_assert_eq!(&rebuilt, &masks);
-            for letter in b"ACGTRYSWKMBDHVN" {
-                let class = IupacCode::from_ascii(*letter).unwrap();
-                prop_assert_eq!(rebuilt.class_mask(class), packed.match_mask(class));
+            for base in Base::ALL {
+                let class = IupacCode::from_base(base);
+                prop_assert_eq!(rebuilt.mask(base), packed.match_mask(class).as_slice());
             }
         }
 
@@ -479,9 +498,7 @@ mod index_roundtrips {
             prop_assert_eq!(reread.q(), Some(q));
             for (ci, contig) in genome.contigs().iter().enumerate() {
                 prop_assert_eq!(reread.contig_name(ci), contig.name());
-                let packed = PackedSeq::from_seq(contig.seq());
-                prop_assert_eq!(&reread.contig_packed(ci), &packed);
-                prop_assert_eq!(&reread.contig_masks(ci), &BaseMasks::build(&packed));
+                prop_assert_eq!(read_back(&reread.contig_view(ci)), expected(contig.seq()));
                 let qgrams = reread.contig_qgrams(ci).unwrap();
                 if contig.len() >= q {
                     prop_assert_eq!(qgrams, Some(DenseQGrams::build(contig.seq(), q)));
@@ -492,8 +509,9 @@ mod index_roundtrips {
             prop_assert_eq!(&reread.to_genome().unwrap(), &genome);
         }
 
-        /// Ranged reads out of the index equal slices of the rebuilt
-        /// whole-contig payloads at arbitrary offsets.
+        /// Ranged views of an index contig read exactly the bases and
+        /// bitmap bits of that slice of the sequence, at arbitrary
+        /// offsets.
         #[test]
         fn ranged_reads_equal_slices(seq in dna_seq(1..200), start in 0usize..200, len in 0usize..200) {
             let start = start % seq.len();
@@ -501,12 +519,82 @@ mod index_roundtrips {
             let mut genome = Genome::new();
             genome.add_contig("c", seq.clone()).unwrap();
             let index = GenomeIndex::build(&genome, 0).unwrap();
-            let window: DnaSeq = seq.subseq(start..start + len);
-            let expect = PackedSeq::from_seq(&window);
-            prop_assert_eq!(&index.contig_packed_range(0, start, len), &expect);
-            prop_assert_eq!(&index.contig_masks_range(0, start, len), &BaseMasks::build(&expect));
+            let view = index.contig_view(0).slice(start, len);
+            prop_assert_eq!(read_back(&view), expected(&seq.subseq(start..start + len)));
             prop_assert_eq!(index.q(), None);
             prop_assert!(index.contig_qgrams(0).unwrap().is_none());
+        }
+    }
+
+    /// Decodes `(site offset, IUPAC class)` anchor pairs from integers
+    /// drawn below `36 × 15`, and the window they need plus `slack`.
+    fn anchors(raw: &[usize], slack: usize) -> (Vec<(usize, IupacCode)>, usize) {
+        const CLASSES: &[u8] = b"ACGTRYSWKMBDHVN";
+        let pairs: Vec<(usize, IupacCode)> = raw
+            .iter()
+            .map(|&v| {
+                (v / CLASSES.len(), IupacCode::from_ascii(CLASSES[v % CLASSES.len()]).unwrap())
+            })
+            .collect();
+        let span = pairs.iter().map(|&(offset, _)| offset).max().unwrap() + 1;
+        (pairs, span + slack)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A view's code stream, window words and anchor candidates equal
+        /// a brute-force reading of the byte-per-base genome it came
+        /// from — for resident, owned-index and mapped-index views, every
+        /// start in 0..=70 and lengths around the 32- and 64-base word
+        /// boundaries.
+        #[test]
+        fn packed_views_match_the_genome_at_every_start(
+            seq in dna_seq(200..260),
+            raw_anchors in prop::collection::vec(0usize..36 * 15, 1..4),
+            slack in 0usize..5,
+        ) {
+            let (pairs, window) = anchors(&raw_anchors, slack);
+            let genome = Genome::from_seq(seq.clone());
+            let packed = genome.pack();
+            let owned = GenomeIndex::build(&genome, 0).unwrap();
+            let path = std::env::temp_dir().join(format!(
+                "offtarget-views-{}-{}.idx",
+                std::process::id(),
+                std::thread::current().name().unwrap_or("main").replace(':', "_")
+            ));
+            owned.write_to(&path).unwrap();
+            let mapped = GenomeIndex::open(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let scanner = AnchorScanner::new(pairs.clone()).unwrap();
+            let contigs =
+                [("resident", packed.contigs()[0].view()), ("owned", owned.contig_view(0)),
+                 ("mapped", mapped.contig_view(0))];
+            for (source, contig) in contigs {
+                for start in 0..=70usize {
+                    for len in [0usize, 1, 31, 32, 33, 63, 64, 65, 127, 128, 129] {
+                        let text = seq.subseq(start..start + len);
+                        let view = contig.slice(start, len);
+                        let at = format!("{source} start={start} len={len}");
+                        let codes: Vec<u8> = view.codes().collect();
+                        let want: Vec<u8> = text.as_slice().iter().map(|b| b.code()).collect();
+                        prop_assert_eq!(codes, want, "{}", at);
+                        for count in [1usize, 23, 32] {
+                            for i in 0..(len + 1).saturating_sub(count) {
+                                let brute = (0..count).fold(0u64, |word, j| {
+                                    word | u64::from(text[i + j].code()) << (2 * j)
+                                });
+                                prop_assert_eq!(view.window_word(i, count), brute, "{} i={}", at, i);
+                            }
+                        }
+                        let got: Vec<usize> = scanner.candidates(&view, window).iter().collect();
+                        let brute: Vec<usize> = (0..(len + 1).saturating_sub(window))
+                            .filter(|&p| pairs.iter().all(|&(o, c)| c.matches(text[p + o])))
+                            .collect();
+                        prop_assert_eq!(got, brute, "{} anchors", at);
+                    }
+                }
+            }
         }
     }
 }

@@ -327,12 +327,11 @@ fn genome_load_reports_chunk_preparation_and_nothing_else() {
     let _serial = scan_lock();
     let (_, guides) = workload();
     let body = guides_body(&guides);
-    // (scan threads, engine): one thread on the default engine scans
-    // each contig straight off the resident packed words — no copy, no
-    // unpack; the DFA engine unpacks every chunk, and two scan threads
-    // split each contig into re-aligned sub-contig copies.
-    for (scan_threads, engine, prepares_chunks) in
-        [(1, None, false), (1, Some("cpu-dfa"), true), (2, None, true)]
+    // (scan threads, engine): every chunk is a view of the resident
+    // packed words and bitmaps — whole contigs at one scan thread,
+    // sub-contig ranges at any start at two — and the DFA reads its
+    // 2-bit codes in place, so no configuration prepares anything.
+    for (scan_threads, engine) in [(1, None), (1, Some("cpu-dfa")), (2, None), (2, Some("cpu-dfa"))]
     {
         let (server, addr) = start(ServeConfig { scan_threads, ..ServeConfig::default() });
         let target = match engine {
@@ -344,11 +343,7 @@ fn genome_load_reports_chunk_preparation_and_nothing_else() {
             assert_eq!(status, 200, "{target}");
         }
         let load_s = genome_load_seconds(addr);
-        if prepares_chunks {
-            assert!(load_s > 0.0, "scan_threads={scan_threads} {target}: load unreported");
-        } else {
-            assert_eq!(load_s, 0.0, "scan_threads={scan_threads} {target}: a re-pack came back");
-        }
+        assert_eq!(load_s, 0.0, "scan_threads={scan_threads} {target}: a chunk copy came back");
         server.shutdown();
         server.join();
     }

@@ -203,7 +203,7 @@ fn prom_round_trips_every_counter_gauge_and_histogram() {
     // Every counter field round-trips as offtarget_<field>_total.
     let counters = metrics.get("counters").expect("counters");
     let Value::Object(fields) = counters else { panic!("counters is an object") };
-    assert_eq!(fields.len(), 14, "every EngineCounters field serialized");
+    assert_eq!(fields.len(), 13, "every EngineCounters field serialized");
     for (field, value) in fields {
         let series = format!("offtarget_{field}_total");
         let exported = samples.get(&series).unwrap_or_else(|| panic!("{series} missing"));
@@ -352,7 +352,6 @@ fn healed_and_clean_runs_agree_on_gauges_and_counters() {
         "multiseed_positions",
         "candidates_verified",
         "raw_hits",
-        "bytes_copied",
         "chunks_failed",
         "degraded_paths",
     ] {
